@@ -11,8 +11,8 @@
 // `--shards N` partitions each state's window and index into N parallel
 // shards (bit-address backends). `--batch-size N` moves up to N arrivals
 // through the pipeline together (vectorized probe path). `--decision-reuse
-// N` reuses one routing decision per done-mask N times (deprecated alias:
-// `--routing-batch-size`). `--engine virtual|wall` picks the cost-metered
+// N` reuses one routing decision per done-mask N times. `--bits B` is the
+// IC bit budget, in [0, 30]. `--engine virtual|wall` picks the cost-metered
 // pipeline (default) or the wall-clock hot path (cross-run batching,
 // prefetching probes, drain/route overlap); `--wall-overlap 0` and
 // `--probe-prefetch 0` disable the wall-mode optimisations individually.
@@ -46,6 +46,7 @@
 #include "engine/executor.hpp"
 #include "engine/multi_query.hpp"
 #include "engine/query_parser.hpp"
+#include "index/index_optimizer.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/adversarial.hpp"
@@ -192,16 +193,25 @@ int main(int argc, char** argv) {
       backend_from(cfg.string_or("backend", "amri"));
   const std::size_t n_attrs = query.layout(0).jas.size();
   const int bits = static_cast<int>(cfg.int_or("bits", 8));
-  std::vector<std::uint8_t> alloc(std::max<std::size_t>(n_attrs, 1), 0);
-  for (int b = 0; b < bits; ++b) {
-    ++alloc[static_cast<std::size_t>(b) % alloc.size()];
-  }
-  opts.stem.initial_config = index::IndexConfig(alloc);
   tuner::TunerOptions topts;
   topts.assessor_params.epsilon = cfg.double_or("epsilon", 0.05);
   topts.theta = cfg.double_or("theta", 0.1);
   topts.reassess_every = cfg.size_or("reassess_every", 2000);
   topts.optimizer.bit_budget = bits;
+  try {
+    // The optimizer owns the bit-budget limits; check them before the
+    // budget sizes the initial IC.
+    index::IndexOptimizer(index::CostModel(opts.model_params),
+                          topts.optimizer);
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
+  std::vector<std::uint8_t> alloc(std::max<std::size_t>(n_attrs, 1), 0);
+  for (int b = 0; b < bits; ++b) {
+    ++alloc[static_cast<std::size_t>(b) % alloc.size()];
+  }
+  opts.stem.initial_config = index::IndexConfig(alloc);
   apply_guardrail_flags(cfg, topts);
   opts.stem.amri_tuner = topts;
   opts.memory_budget = cfg.size_or("memory_budget", opts.memory_budget);
@@ -216,10 +226,8 @@ int main(int argc, char** argv) {
   }
   opts.wall_overlap = cfg.bool_or("wall_overlap", true);
   opts.wall_probe_prefetch = cfg.bool_or("probe_prefetch", true);
-  // `routing_batch_size` is the knob's pre-rename name, kept as a
-  // deprecated alias; `decision_reuse` wins when both are given.
-  opts.eddy.decision_reuse = std::max<std::size_t>(
-      cfg.size_or("decision_reuse", cfg.size_or("routing_batch_size", 1)), 1);
+  opts.eddy.decision_reuse =
+      std::max<std::size_t>(cfg.size_or("decision_reuse", 1), 1);
   if (scenario == nullptr) {
     opts.model_params.lambda_d = rate;
     opts.model_params.lambda_r = rate * query.num_streams();

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cassert>
+#include <stdexcept>
 #include <string>
 #include <utility>
 #include <vector>
@@ -163,14 +164,30 @@ MultiQueryExecutor::MultiQueryExecutor(std::vector<QuerySpec> queries,
     : queries_(std::move(queries)),
       options_(std::move(options)),
       rt_(options_) {
-  assert(!queries_.empty());
-  assert(queries_.size() <= 64 && "accept sets are 64-bit masks");
+  if (queries_.empty()) {
+    throw std::invalid_argument("multi-query executor: no queries");
+  }
+  if (queries_.size() > kMaxQueries) {
+    throw std::invalid_argument(
+        "multi-query executor: " + std::to_string(queries_.size()) +
+        " queries exceed the " + std::to_string(kMaxQueries) +
+        "-query accept mask");
+  }
   const std::size_t k = queries_[0].num_streams();
   const TimeMicros window = queries_[0].window();
-  for (const QuerySpec& q : queries_) {
-    assert(q.num_streams() == k);
-    assert(q.window() == window);
-    (void)q;
+  for (std::size_t qi = 1; qi < queries_.size(); ++qi) {
+    if (queries_[qi].num_streams() != k) {
+      throw std::invalid_argument(
+          "multi-query executor: query " + std::to_string(qi) + " has " +
+          std::to_string(queries_[qi].num_streams()) +
+          " streams, query 0 has " + std::to_string(k));
+    }
+    if (queries_[qi].window() != window) {
+      throw std::invalid_argument(
+          "multi-query executor: query " + std::to_string(qi) +
+          " has window " + std::to_string(queries_[qi].window()) +
+          " us, query 0 has " + std::to_string(window) + " us");
+    }
   }
 
   // Union JAS per stream (sorted tuple-attribute ids for determinism).

@@ -18,9 +18,10 @@
 // ONE shared tuner scores candidate ICs against the union workload, with
 // per-query request shares attached to every decision.
 //
-// Constraints (asserted): all queries span the same stream universe and
-// share the window length (the paper's default-window-length template),
-// and at most 64 queries share an executor (accept sets are bitmasks).
+// Constraints (checked by the constructor): all queries span the same
+// stream universe and share the window length (the paper's
+// default-window-length template), and at most 64 queries share an
+// executor (accept sets are 64-bit masks).
 #pragma once
 
 #include <memory>
@@ -40,8 +41,13 @@ struct MultiRunResult {
 
 class MultiQueryExecutor {
  public:
+  /// Most queries one executor can share (one accept-mask bit each).
+  static constexpr std::size_t kMaxQueries = 64;
+
   /// `queries` must all reference the same streams (ids and schemas) and
-  /// window. The ExecutorOptions are applied to the shared states.
+  /// window. The ExecutorOptions are applied to the shared states. Throws
+  /// std::invalid_argument for an empty list, more than kMaxQueries
+  /// queries, or queries whose stream counts or windows differ.
   MultiQueryExecutor(std::vector<QuerySpec> queries, ExecutorOptions options);
 
   // Eddies hold references into queries_: not copyable or movable.

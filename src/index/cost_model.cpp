@@ -5,15 +5,21 @@
 namespace amri::index {
 
 double CostModel::maintenance_cost(const IndexConfig& ic) const {
-  return params_.lambda_d * ic.indexed_attr_count() * params_.hash_cost;
+  return maintenance_term(ic.indexed_attr_count());
 }
 
 double CostModel::search_cost(const IndexConfig& ic, AttrMask ap) const {
+  return search_term(popcount(ap & ic.indexed_mask()), ic.bits_for(ap));
+}
+
+double CostModel::maintenance_term(int n_a) const {
+  return params_.lambda_d * n_a * params_.hash_cost;
+}
+
+double CostModel::search_term(int n_a_ap, int b_ap) const {
   // Bits on attributes the probe binds narrow the candidate set.
-  const int b_ap = ic.bits_for(ap);
   const double window_tuples = params_.lambda_d * params_.window_units;
   const double candidates = window_tuples / std::exp2(b_ap);
-  const int n_a_ap = popcount(ap & ic.indexed_mask());
   return n_a_ap * params_.hash_cost + candidates * params_.compare_cost;
 }
 

@@ -61,6 +61,12 @@ class CostModel {
   /// Search-side term for a single pattern (paper model).
   double search_cost(const IndexConfig& ic, AttrMask ap) const;
 
+  /// The two terms above from the counts Eq. 1 reads off an IC: N_A, and
+  /// N_{A,ap} / B_ap for one pattern. The IC overloads delegate here, so a
+  /// caller tabulating these by count gets the identical doubles.
+  double maintenance_term(int n_a) const;
+  double search_term(int n_a_ap, int b_ap) const;
+
  private:
   WorkloadParams params_;
 };

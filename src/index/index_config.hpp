@@ -64,9 +64,10 @@ class IndexConfig {
 
 /// Enumerate every allocation of at most `budget` bits over `num_attrs`
 /// attributes with at most `max_per_attr` bits each, invoking `fn` for each
-/// allocation (including the all-zero one). Used by the exhaustive
-/// optimizer; the count is C(budget + n, n)-ish and small for paper-scale
-/// parameters.
+/// allocation (including the all-zero one), position 0 outermost and bits
+/// ascending. The count is C(budget + n, n) without per-attribute caps.
+/// IndexOptimizer::optimize walks the same order with its own
+/// allocation-free kernel; this is the tests' brute-force reference.
 void enumerate_allocations(
     std::size_t num_attrs, int budget, int max_per_attr,
     const std::function<void(const std::vector<std::uint8_t>&)>& fn);

@@ -3,9 +3,12 @@
 // "locate the index configuration with the lowest index configuration
 // dependent costs").
 //
-// For paper-scale states (≤ ~6 join attributes, ≤ ~16-bit budgets) the
-// exhaustive enumeration over bit allocations is tiny; a greedy
-// bit-at-a-time search is provided for larger spaces and as an ablation.
+// The exhaustive search visits all C(B + n, n) allocations of at most B
+// bits over n attributes (165 at the paper's n = 3, B = 8; 24,310 for a
+// 9-attribute shared multi-query state) with an allocation-free
+// depth-first kernel that updates each pattern's Eq. 1 counts
+// incrementally. A greedy bit-at-a-time search is provided for larger
+// spaces and as an ablation.
 #pragma once
 
 #include <vector>
@@ -42,17 +45,23 @@ struct OptimizerResult {
 
 class IndexOptimizer {
  public:
-  IndexOptimizer(CostModel model, OptimizerOptions options)
-      : model_(std::move(model)), options_(options) {}
+  /// Throws std::invalid_argument unless bit_budget ∈ [0,
+  /// IndexConfig::kMaxTotalBits] and max_bits_per_attr ≥ 0.
+  IndexOptimizer(CostModel model, OptimizerOptions options);
 
   const OptimizerOptions& options() const { return options_; }
 
-  /// Exhaustive search over all allocations of ≤ budget bits.
+  /// Exhaustive search over all allocations of ≤ budget bits, in
+  /// enumerate_allocations order. Each candidate's cost is the identical
+  /// double CostModel::paper_cost (or extended_cost) returns for it, and
+  /// the first minimum wins ties. Throws std::invalid_argument when
+  /// `num_attrs` exceeds the width of AttrMask.
   OptimizerResult optimize(std::size_t num_attrs,
                            const std::vector<PatternFrequency>& patterns) const;
 
   /// Greedy: repeatedly add the single bit with the largest cost reduction;
   /// stops when no bit improves. Evaluates O(budget · num_attrs) configs.
+  /// Same `num_attrs` limit as optimize().
   OptimizerResult optimize_greedy(
       std::size_t num_attrs,
       const std::vector<PatternFrequency>& patterns) const;

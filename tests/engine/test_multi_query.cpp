@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <stdexcept>
 
 #include "../test_util.hpp"
 
@@ -55,6 +56,41 @@ ExecutorOptions zero_cost_options(IndexBackend backend = IndexBackend::kScan) {
   ExecutorOptions o = base_options(backend);
   o.costs = CostParams{0, 0, 0, 0, 0, 0};
   return o;
+}
+
+TEST(MultiQuery, RejectsEmptyQueryList) {
+  EXPECT_THROW(MultiQueryExecutor({}, base_options()), std::invalid_argument);
+}
+
+TEST(MultiQuery, RejectsMoreQueriesThanAcceptMaskBits) {
+  std::vector<QuerySpec> queries;
+  const auto pair = two_queries(seconds_to_micros(50));
+  for (std::size_t i = 0; i <= MultiQueryExecutor::kMaxQueries; ++i) {
+    queries.push_back(pair[i % 2]);
+  }
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
+  queries.pop_back();  // exactly kMaxQueries is fine
+  EXPECT_NO_THROW(MultiQueryExecutor(queries, base_options()));
+}
+
+TEST(MultiQuery, RejectsMismatchedStreamCounts) {
+  auto queries = two_queries(seconds_to_micros(50));
+  std::vector<Schema> three = {Schema("S0", {"x", "y"}),
+                               Schema("S1", {"u", "v"}),
+                               Schema("S2", {"p"})};
+  queries.emplace_back(
+      three, std::vector<JoinPredicate>{{0, 0, 1, 0}, {1, 1, 2, 0}},
+      seconds_to_micros(50));
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
+}
+
+TEST(MultiQuery, RejectsMismatchedWindows) {
+  auto queries = two_queries(seconds_to_micros(50));
+  queries.push_back(two_queries(seconds_to_micros(20))[0]);
+  EXPECT_THROW(MultiQueryExecutor(queries, base_options()),
+               std::invalid_argument);
 }
 
 TEST(MultiQuery, SharedJasIsUnionOfQueries) {

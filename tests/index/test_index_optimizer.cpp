@@ -2,6 +2,9 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
+#include <stdexcept>
+
 namespace amri::index {
 namespace {
 
@@ -120,6 +123,40 @@ TEST(IndexOptimizer, BudgetRespected) {
   const auto r = opt.optimize(
       4, {{0b0001, 0.25}, {0b0010, 0.25}, {0b0100, 0.25}, {0b1000, 0.25}});
   EXPECT_LE(r.config.total_bits(), 3);
+}
+
+TEST(IndexOptimizer, RejectsBudgetOutsideIcRange) {
+  const CostModel model(params());
+  OptimizerOptions opts;
+  opts.bit_budget = -1;
+  EXPECT_THROW(IndexOptimizer(model, opts), std::invalid_argument);
+  opts.bit_budget = IndexConfig::kMaxTotalBits + 1;
+  EXPECT_THROW(IndexOptimizer(model, opts), std::invalid_argument);
+  opts.bit_budget = 0;
+  EXPECT_NO_THROW(IndexOptimizer(model, opts));
+  opts.bit_budget = IndexConfig::kMaxTotalBits;
+  EXPECT_NO_THROW(IndexOptimizer(model, opts));
+}
+
+TEST(IndexOptimizer, RejectsNegativePerAttributeCap) {
+  const CostModel model(params());
+  OptimizerOptions opts;
+  opts.max_bits_per_attr = -1;
+  EXPECT_THROW(IndexOptimizer(model, opts), std::invalid_argument);
+  opts.max_bits_per_attr = 0;
+  EXPECT_NO_THROW(IndexOptimizer(model, opts));
+}
+
+TEST(IndexOptimizer, RejectsMoreAttributesThanTheMaskHolds) {
+  const CostModel model(params());
+  OptimizerOptions opts;
+  opts.bit_budget = 1;
+  const IndexOptimizer opt(model, opts);
+  constexpr std::size_t kWidth = std::numeric_limits<AttrMask>::digits;
+  EXPECT_THROW(opt.optimize(kWidth + 1, {}), std::invalid_argument);
+  EXPECT_THROW(opt.optimize_greedy(kWidth + 1, {}), std::invalid_argument);
+  // The full mask width is fine: the zero allocation plus one bit on each.
+  EXPECT_EQ(opt.optimize(kWidth, {}).configs_evaluated, kWidth + 1);
 }
 
 TEST(IndexOptimizer, SelectHashModulesTopKByFrequency) {

@@ -6,6 +6,9 @@
 // groups enumerate lazily), so the batched path's allocations must stay in
 // the same league as the unbatched path's.
 //
+// The same counters check that the exhaustive index optimizer allocates
+// nothing per non-improving candidate.
+//
 // Instrumented with replacement global new/delete that count only while a
 // thread-local flag is up; everything outside the `AllocTracker` scopes
 // (pool construction, inserts, gtest bookkeeping) is untracked.
@@ -18,6 +21,7 @@
 
 #include "../test_util.hpp"
 #include "index/bit_address_index.hpp"
+#include "index/index_optimizer.hpp"
 
 namespace {
 
@@ -185,6 +189,34 @@ TEST(ProbeAlloc, NarrowWildcardMayMaterializeUnderCap) {
   }
   EXPECT_LE(batched.peak_single, 256 * sizeof(BucketId) + 64)
       << "under-cap materialization exceeded one combo table";
+}
+
+TEST(ProbeAlloc, ExhaustiveOptimizerAllocationsDoNotGrowWithLeaves) {
+  // With free compares every bit only adds hashing cost, so the all-zero
+  // allocation (the first leaf) is the unique optimum and every later leaf
+  // is a non-improving candidate. The search's allocations must then be
+  // the same for 28 leaves as for 8008.
+  WorkloadParams wp;
+  wp.compare_cost = 0.0;
+  const CostModel model(wp);
+  const std::vector<PatternFrequency> pats = {
+      {0b000011, 0.4}, {0b110000, 0.3}, {0b011110, 0.3}};
+  const auto measure = [&](int budget) {
+    OptimizerOptions opts;
+    opts.bit_budget = budget;
+    opts.max_bits_per_attr = budget;
+    const IndexOptimizer opt(model, opts);
+    AllocTracker tracker;
+    const OptimizerResult r = opt.optimize(6, pats);
+    const AllocStats stats = tracker.stop();
+    EXPECT_EQ(r.config, IndexConfig::zero(6));
+    return std::make_pair(r.configs_evaluated, stats.count);
+  };
+  const auto [small_leaves, small_allocs] = measure(2);
+  const auto [large_leaves, large_allocs] = measure(10);
+  EXPECT_EQ(small_leaves, 28u);    // C(8, 6)
+  EXPECT_EQ(large_leaves, 8008u);  // C(16, 6)
+  EXPECT_EQ(large_allocs, small_allocs);
 }
 
 }  // namespace
