@@ -7,6 +7,7 @@
 //       under adversarial uniform workloads.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <map>
 #include <set>
 
@@ -130,7 +131,15 @@ std::vector<SweepCase> sweep_cases() {
     for (const double eps : {0.002, 0.01}) {
       for (const double theta : {0.08, 0.12}) {
         for (const std::uint64_t seed : {1ull, 2ull}) {
-          cases.push_back(SweepCase{kind, eps, theta, seed});
+          // gtest prints the raw bytes of the param into the test name, so
+          // the padding after `kind` must be zero, not stack garbage.
+          SweepCase c;
+          std::memset(&c, 0, sizeof c);
+          c.kind = kind;
+          c.epsilon = eps;
+          c.theta = theta;
+          c.seed = seed;
+          cases.push_back(c);
         }
       }
     }

@@ -4,6 +4,7 @@
 // Complements test_integration.cpp's K4-clique coverage.
 #include <gtest/gtest.h>
 
+#include <cstring>
 #include <deque>
 #include <functional>
 #include <vector>
@@ -181,7 +182,15 @@ std::vector<TopologyCase> topology_cases() {
       for (const auto backend :
            {IndexBackend::kScan, IndexBackend::kAmri,
             IndexBackend::kAccessModules}) {
-        cases.push_back(TopologyCase{kind, k, backend, 100 + k});
+        // gtest prints the raw bytes of the param into the test name, so
+        // the padding after `kind` and `backend` must be zero.
+        TopologyCase c;
+        std::memset(&c, 0, sizeof c);
+        c.kind = kind;
+        c.streams = k;
+        c.backend = backend;
+        c.seed = 100 + k;
+        cases.push_back(c);
       }
     }
   }
