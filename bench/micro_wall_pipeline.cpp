@@ -1,107 +1,27 @@
 // MICRO-WALL-PIPELINE — the wall-clock engine mode measured on real
-// hardware with google-benchmark:
-//   * kernel prefetch ablation: grouped probe_batch against a directory
-//     far larger than L2, with the cross-key software prefetch on vs off.
-//     Every probe is an exact bucket lookup at a hash-random address, so
-//     the kernel is cache-miss bound — precomputing the batch's bucket
-//     addresses and prefetching K keys ahead is the whole trick;
-//   * end-to-end engine churn: a full executor run (drain → expiry →
-//     insert → route) over bursty 2-stream arrivals with a ~100k-tuple
-//     steady-state window, across engine modes. --engine wall with
-//     overlap + prefetch disabled isolates the cross-run batching layer;
-//     enabling them adds the prefetching probe kernel and the drain/route
-//     overlap thread. The differential tests assert all modes produce
-//     identical results; this measures what the reorganisation buys in
-//     wall time.
+// hardware with google-benchmark: a full executor run (drain → expiry →
+// insert → route) over bursty 2-stream arrivals with a ~100k-tuple
+// steady-state window, in virtual mode (each batch routed run by run) and
+// in wall mode (each batch routed as one mixed-stream segment under the
+// sequence horizon), at equal batch sizes. The differential tests assert
+// both modes produce identical results; this measures what cross-run
+// batching buys in wall time.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
 
-#include <deque>
-#include <memory>
 #include <optional>
 #include <vector>
 
 #include "common/rng.hpp"
 #include "engine/executor.hpp"
-#include "index/bit_address_index.hpp"
 
 namespace {
 
 using namespace amri;
-using namespace amri::index;
-
-constexpr std::size_t kWindow = 100000;  ///< stored tuples per benchmark
-constexpr std::int64_t kDomain = 50000;
-
-std::vector<std::unique_ptr<Tuple>> make_tuples(std::size_t n,
-                                                std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<std::unique_ptr<Tuple>> out;
-  out.reserve(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    auto t = std::make_unique<Tuple>();
-    t->seq = i;
-    t->ts = static_cast<TimeMicros>(i);
-    for (int a = 0; a < 2; ++a) {
-      t->values.push_back(
-          static_cast<Value>(rng.below(static_cast<std::uint64_t>(kDomain))));
-    }
-    out.push_back(std::move(t));
-  }
-  return out;
-}
-
-/// Exact-lookup probe churn on a 100k-tuple window with 2^17 directory
-/// slots (several MB of slot array — far beyond L2): every key fully
-/// binds the JAS (the shape every complete-join probe has), so each probe
-/// is one find() at a hash-random slot followed by tag-filtered tuple
-/// dereferences. prefetch:0 is the plain grouped kernel; prefetch:1
-/// precomputes bucket addresses, warms slots kPrefetchFar keys ahead and
-/// the tag-matching tuples kPrefetchAhead keys ahead (the two-stage
-/// pipeline the wall engine enables).
-void BM_WallPipeline_KernelPrefetch(benchmark::State& state) {
-  const bool prefetch = state.range(0) != 0;
-  const auto batch = static_cast<std::size_t>(state.range(1));
-  const auto tuples = make_tuples(kWindow, 7);
-  BitAddressIndex idx(JoinAttributeSet({0, 1}), IndexConfig({0, 17}),
-                      BitMapper::hashing(2));
-  idx.set_prefetch(prefetch);
-  for (const auto& t : tuples) idx.insert(t.get());
-
-  Rng rng(11);
-  std::vector<ProbeKey> keys(batch);
-  std::vector<std::vector<const Tuple*>> outs(batch);
-  std::vector<ProbeStats> stats(batch);
-  std::uint64_t matches = 0;
-  for (auto _ : state) {
-    for (std::size_t i = 0; i < batch; ++i) {
-      const Tuple& probe_for = *tuples[rng.below(tuples.size())];
-      keys[i].mask = 0b11;
-      keys[i].values.clear();
-      keys[i].values.push_back(probe_for.at(0));
-      keys[i].values.push_back(probe_for.at(1));
-      outs[i].clear();
-      stats[i] = ProbeStats{};
-    }
-    idx.probe_batch(keys.data(), batch, outs.data(), stats.data());
-    for (std::size_t i = 0; i < batch; ++i) matches += stats[i].matches;
-    benchmark::DoNotOptimize(matches);
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
-                          static_cast<std::int64_t>(batch));
-}
-BENCHMARK(BM_WallPipeline_KernelPrefetch)
-    ->ArgNames({"prefetch", "batch"})
-    ->Args({0, 16})
-    ->Args({1, 16})
-    ->Args({0, 64})
-    ->Args({1, 64})
-    ->Args({0, 256})
-    ->Args({1, 256})
-    ->Unit(benchmark::kMicrosecond);
-
 using namespace amri::engine;
+
+constexpr std::size_t kWindow = 100000;  ///< steady-state stored tuples
 
 class ReplaySource final : public TupleSource {
  public:
@@ -119,17 +39,15 @@ class ReplaySource final : public TupleSource {
 
 /// Churn-workload join-attribute domain: ~20 window tuples share each
 /// value, so every probe dereferences a bucket's worth of tag-matching
-/// tuples — the dependent-load stream the probe kernel's near prefetch
-/// stage targets. (The kernel ablation above keeps the wide kDomain,
-/// isolating the slot stage on 1-2-entry buckets.)
+/// tuples.
 constexpr std::int64_t kChurnDomain = 5000;
 
 /// Bursty 2-stream arrivals: kBurst tuples share each timestamp, bursts
 /// 1 ms of virtual time apart. A burst's modelled processing cost is below
 /// the burst gap, so the executor keeps up (no unbounded backlog), but
 /// within a burst the whole backlog is due at once — real multi-tuple
-/// batches form, the wall path's mixed-stream partitions actually mix
-/// streams, and the overlap worker has a non-empty backlog to drain.
+/// batches form and the wall path's mixed-stream partitions actually mix
+/// streams.
 constexpr std::size_t kBurst = 512;
 constexpr std::size_t kChurnTuples = 300000;
 
@@ -153,20 +71,16 @@ std::vector<Tuple> make_bursty_stream(std::size_t n, std::uint64_t seed) {
 /// arrivals. The window is ~195 bursts deep, so the steady state holds
 /// ~100k tuples across the two states; every arrival probes its peer and
 /// the window continuously expires. engine:0 is the virtual pipeline,
-/// engine:1 the wall mode; overlap/prefetch gate the wall optimisations
-/// (ignored under engine:0). Static bitmap backend and fixed routing keep
+/// engine:1 the wall mode. Static bitmap backend and fixed routing keep
 /// the tuner out of the wall-time signal.
 void BM_WallPipeline_EngineChurn(benchmark::State& state) {
   const bool wall = state.range(0) != 0;
-  const bool overlap = state.range(1) != 0;
-  const bool prefetch = state.range(2) != 0;
-  const auto batch = static_cast<std::size_t>(state.range(3));
+  const auto batch = static_cast<std::size_t>(state.range(1));
 
   const QuerySpec base_q = make_complete_join_query(
       2, seconds_to_micros(0.001 * (kWindow / kBurst)));
   QuerySpec q = base_q;
-  // WHERE filters give the drain path real per-tuple selection work — the
-  // work the overlap thread hides behind routing.
+  // WHERE filters give the drain path real per-tuple selection work.
   q.set_selection(0, Selection({FilterPredicate{0, CompareOp::kGe, 1},
                                 FilterPredicate{0, CompareOp::kNe, kChurnDomain}}));
   q.set_selection(1, Selection({FilterPredicate{0, CompareOp::kGe, 1}}));
@@ -179,11 +93,9 @@ void BM_WallPipeline_EngineChurn(benchmark::State& state) {
     o.duration = seconds_to_micros(2.0);
     o.sample_every = seconds_to_micros(1.0);
     o.engine = wall ? EngineMode::kWall : EngineMode::kVirtual;
-    o.wall_overlap = overlap;
-    o.wall_probe_prefetch = prefetch;
     o.batch_size = batch;
     o.stem.backend = IndexBackend::kStaticBitmap;
-    o.stem.initial_config = IndexConfig({17});
+    o.stem.initial_config = index::IndexConfig({17});
     o.eddy.routing.kind = RoutingPolicyKind::kFixed;
     Executor ex(q, o);
     ReplaySource src(&arrivals);
@@ -198,13 +110,12 @@ void BM_WallPipeline_EngineChurn(benchmark::State& state) {
       static_cast<double>(outputs), benchmark::Counter::kAvgIterations);
 }
 BENCHMARK(BM_WallPipeline_EngineChurn)
-    ->ArgNames({"engine", "overlap", "prefetch", "batch"})
-    ->Args({0, 0, 0, 1})    // virtual tuple-at-a-time baseline
-    ->Args({0, 0, 0, 64})   // virtual batched
-    ->Args({1, 0, 0, 64})   // wall: cross-run batching only
-    ->Args({1, 1, 1, 64})   // wall: + prefetch + overlap
-    ->Args({1, 0, 0, 256})
-    ->Args({1, 1, 1, 256})
+    ->ArgNames({"engine", "batch"})
+    ->Args({0, 1})    // virtual, batches of one
+    ->Args({0, 64})   // virtual batched
+    ->Args({1, 64})   // wall: cross-run batching
+    ->Args({0, 256})  // virtual vs wall at equal batch
+    ->Args({1, 256})
     ->Unit(benchmark::kMillisecond);
 
 }  // namespace

@@ -10,12 +10,11 @@
 // scan, bits, epsilon, theta, shards, batch_size, decision_reuse, engine.
 // `--shards N` partitions each state's window and index into N parallel
 // shards (bit-address backends). `--batch-size N` moves up to N arrivals
-// through the pipeline together (vectorized probe path). `--decision-reuse
-// N` reuses one routing decision per done-mask N times. `--bits B` is the
-// IC bit budget, in [0, 30]. `--engine virtual|wall` picks the cost-metered
-// pipeline (default) or the wall-clock hot path (cross-run batching,
-// prefetching probes, drain/route overlap); `--wall-overlap 0` and
-// `--probe-prefetch 0` disable the wall-mode optimisations individually.
+// through the pipeline together after warm-up (vectorized probe path).
+// `--decision-reuse N` reuses one routing decision per done-mask N times.
+// `--bits B` is the IC bit budget, in [0, 30]. `--engine virtual|wall`
+// routes each batch run by run (default) or as one mixed-stream segment
+// under a sequence horizon (cross-run batching).
 // `--trace-out run.jsonl` attaches telemetry and
 // writes the full run trace (events + final metrics) as JSON lines.
 // `--trace-sample N` additionally traces every Nth arrival end-to-end as
@@ -36,9 +35,14 @@
 // `--tuner-deadband`, `--tuner-hysteresis-epochs`, `--tuner-horizon`,
 // `--tuner-budget-time-us` and `--tuner-budget-mem-bytes` tune them (see
 // docs/architecture.md, "Tuner guardrails").
+// A flag the run never reads (a typo, or a knob that does not apply, such
+// as a guardrail setting without `--guardrails`) is an error: the run
+// exits 1 naming it instead of silently ignoring it.
 #include <iostream>
 #include <memory>
 #include <optional>
+#include <string>
+#include <vector>
 
 #include "common/config.hpp"
 #include "common/table_printer.hpp"
@@ -224,8 +228,6 @@ int main(int argc, char** argv) {
     std::cerr << "unknown engine '" << engine_name << "' (virtual|wall)\n";
     return 1;
   }
-  opts.wall_overlap = cfg.bool_or("wall_overlap", true);
-  opts.wall_probe_prefetch = cfg.bool_or("probe_prefetch", true);
   opts.eddy.decision_reuse =
       std::max<std::size_t>(cfg.size_or("decision_reuse", 1), 1);
   if (scenario == nullptr) {
@@ -270,6 +272,16 @@ int main(int argc, char** argv) {
     source = std::make_unique<QuerySource>(
         query, rate, seconds_to_micros(sim_seconds),
         static_cast<std::uint64_t>(cfg.int_or("seed", 1)));
+  }
+
+  // Every option has been read by now; anything left would be ignored.
+  const std::vector<std::string> unread = cfg.unread_keys();
+  if (!unread.empty()) {
+    std::cerr << "unknown or inapplicable flag"
+              << (unread.size() > 1 ? "s" : "") << ":";
+    for (const std::string& key : unread) std::cerr << " " << key;
+    std::cerr << "\n";
+    return 1;
   }
 
   std::cout << "running: " << run_label;

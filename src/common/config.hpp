@@ -5,8 +5,10 @@
 #include <cstdint>
 #include <map>
 #include <optional>
+#include <set>
 #include <string>
 #include <string_view>
+#include <vector>
 
 namespace amri {
 
@@ -44,8 +46,20 @@ class Config {
     return entries_;
   }
 
+  /// Keys that are set but that no has()/get_*()/*_or() call has asked
+  /// for, in key order. A binary that reads every option it knows before
+  /// it starts work can reject these as flags it would silently ignore.
+  std::vector<std::string> unread_keys() const;
+
  private:
+  /// Looks `key` up and records that it was asked for.
+  std::map<std::string, std::string, std::less<>>::const_iterator find(
+      std::string_view key) const;
+
   std::map<std::string, std::string, std::less<>> entries_;
+  /// Every key asked for so far. Reading is logically const, so the log is
+  /// mutable; like the rest of Config it is not synchronised.
+  mutable std::set<std::string, std::less<>> read_;
 };
 
 }  // namespace amri

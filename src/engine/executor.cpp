@@ -10,42 +10,28 @@ namespace amri::engine {
 namespace {
 
 // The single-query routing sink: WHERE admission against the one QuerySpec
-// and routing through the one eddy. Result handling replicates the
-// pre-unification Executor::run exactly — the row cap is re-checked per
-// append and on_result fires for every complete join result (warm-up
-// included), so single-query runs through the shared core stay bit-for-bit
-// identical.
+// and routing through the one eddy. The row cap is re-checked per append,
+// rows are collected only after the warm-up boundary, and on_result fires
+// for every complete join result (warm-up included).
 class SingleQuerySink final : public RoutingSink {
  public:
   SingleQuerySink(const QuerySpec& query, EddyRouter& eddy,
                   const ExecutorOptions& options)
       : query_(query), eddy_(eddy), options_(options) {}
 
-  bool admit(const Tuple& arrival, CostMeter& meter,
-             std::vector<std::uint64_t>* detached_accepts) override {
-    (void)detached_accepts;  // one query: admission IS the accept set
+  bool admit(const Tuple& arrival, CostMeter& meter) override {
+    // One query: admission IS the accept set.
     return query_.selection(arrival.stream).matches(arrival, &meter);
-  }
-
-  std::uint64_t route_one(const Tuple* stored, bool measured) override {
-    const bool want_rows = options_.collect_rows && measured &&
-                           rows_.size() < options_.max_collected_rows;
-    if (want_rows || options_.on_result) {
-      std::vector<JoinResult> sink;
-      const std::uint64_t produced = eddy_.route(stored, &sink);
-      deliver(sink, want_rows);
-      return produced;
-    }
-    return eddy_.route(stored);
   }
 
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
+                            bool measured,
                             const BatchVisibility* visibility) override {
     (void)first;  // one query: every admitted slot routes through eddy_
-    const bool want_rows =
-        options_.collect_rows && rows_.size() < options_.max_collected_rows;
+    const bool want_rows = options_.collect_rows && measured &&
+                           rows_.size() < options_.max_collected_rows;
     const bool want_sink = want_rows || options_.on_result != nullptr;
     batch_sink_.clear();
     const std::uint64_t produced = eddy_.route_batch(

@@ -1,5 +1,5 @@
 // The discrete-event simulation driver: pulls arrivals from a TupleSource,
-// runs expiry → insert → eddy routing for each, charges all modelled work
+// runs expiry → insert → eddy routing for them, charges all modelled work
 // (hashing, comparisons, routing, migrations) to the virtual clock, tracks
 // memory against a budget, and samples the cumulative-throughput curve.
 //
@@ -59,40 +59,25 @@ struct ExecutorOptions {
   /// Worker threads for sharded fan-out probes (stem.shards > 1 only).
   /// 0 picks hardware_concurrency; ignored when the stems are unsharded.
   std::size_t fanout_threads = 0;
-  /// Arrivals moved through the pipeline together (`--batch-size`): the
-  /// executor drains up to this many ready arrivals into a TupleBatch,
-  /// expires every window once, then batch-inserts and batch-routes each
-  /// consecutive same-stream run. 1 (the default) is the tuple-at-a-time
-  /// path, preserved bit-for-bit. Larger batches keep the modelled cost
-  /// identical (every shared computation is still charged once per tuple
-  /// it serves) but amortise real dispatch work; the only semantic drift
-  /// is expiry timing — windows are expired at batch start, so a tuple
-  /// whose deadline falls inside a batch's virtual-time span survives a
-  /// few probes longer (see docs/architecture.md, "Batched execution").
+  /// Arrivals moved through the pipeline together (`--batch-size`): after
+  /// warm-up the executor drains up to this many ready arrivals into a
+  /// TupleBatch, expires every window once, then inserts and routes the
+  /// batch segment by segment. Warm-up always drains batches of one, so 1
+  /// (the default) moves every arrival on its own. Larger batches keep the
+  /// modelled cost identical (every shared computation is still charged
+  /// once per tuple it serves) but amortise real dispatch work; the only
+  /// semantic drift is expiry timing — windows are expired at batch start,
+  /// so a tuple whose deadline falls inside a batch's virtual-time span
+  /// survives a few probes longer (see docs/architecture.md, "Batched
+  /// execution").
   std::size_t batch_size = 1;
-  /// Execution mode (`--engine`): kVirtual is the paper's cost-metered
-  /// pipeline; kWall reorganises the post-warm-up hot path for real
-  /// hardware throughput (cross-run batching, prefetching probe kernel,
-  /// drain/route overlap) while the virtual clock keeps governing arrival
-  /// eligibility, window expiry and run length. See docs/architecture.md,
-  /// "Wall-clock engine mode".
+  /// Execution mode (`--engine`): kVirtual routes each same-stream run of
+  /// a batch as its own segment; kWall routes the whole post-warm-up batch
+  /// as one mixed-stream segment under a sequence horizon (cross-run
+  /// batching). Both run the same loop; the virtual clock governs arrival
+  /// eligibility, window expiry and run length in either. See
+  /// docs/architecture.md, "Wall-clock engine mode".
   EngineMode engine = EngineMode::kVirtual;
-  /// Wall mode: overlap next-batch drain (backlog pop + WHERE selection)
-  /// with current-batch routing on a dedicated worker thread. Disabled
-  /// automatically when trace sampling is on (spans are emitted inline on
-  /// the drain path) and on single-core hosts, where a second runnable
-  /// thread only adds context switches and cache pollution to the one
-  /// core the driver needs.
-  bool wall_overlap = true;
-  /// Create the overlap worker even on a single-core host. For tests that
-  /// must exercise the concurrent drain/route handoff (TSan race hunting,
-  /// toggle differentials) regardless of where they run.
-  bool wall_overlap_force = false;
-  /// Wall mode: software prefetch in the index kernel — bucket-directory
-  /// slots ahead of the grouped probe / batched insert / batched expiry
-  /// walks, and matching tuples ahead of the compare loop (sets
-  /// StemOptions::probe_prefetch on every state).
-  bool wall_probe_prefetch = true;
 };
 
 class Executor {
@@ -115,10 +100,9 @@ class Executor {
  private:
   const QuerySpec& query_;
   ExecutorOptions options_;
-  /// The shared run-loop state (clock/meter/memory/pools/instruments).
+  /// The shared run-loop state (clock/meter/memory/pool/instruments).
   /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool, wall prefetch) and its pools must outlive every stem
-  /// probe path.
+  /// (fan-out pool) and its pool must outlive every stem probe path.
   PipelineRuntime rt_;
   std::vector<std::unique_ptr<StemOperator>> stems_;
   std::unique_ptr<EddyRouter> eddy_;

@@ -17,10 +17,9 @@ namespace {
 // selection in query order (each one charged — every query logically
 // inspects every arrival on its streams) and records the accept set as a
 // per-slot bitmask; an arrival enters the shared state if any query
-// accepts it. Routing walks the queries in order: the tuple path routes
-// the last-admitted arrival through each accepting query's eddy, and the
-// batch paths carve each query's accepted sub-array out of the admitted
-// slots and route it as one call. Before a query routes, its index is
+// accepts it. Routing walks the queries in order, carving each query's
+// accepted sub-array out of the routed slots and routing it as one call
+// through that query's eddy. Before a query routes, its index is
 // installed as the active attribution target on every shared STeM so probe
 // statistics land in that query's assessor cells.
 class MultiQuerySink final : public RoutingSink {
@@ -35,8 +34,7 @@ class MultiQuerySink final : public RoutingSink {
 
   bool wants_per_query() const override { return true; }
 
-  bool admit(const Tuple& arrival, CostMeter& meter,
-             std::vector<std::uint64_t>* detached_accepts) override {
+  bool admit(const Tuple& arrival, CostMeter& meter) override {
     std::uint64_t mask = 0;
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
       if (queries_[qi].selection(arrival.stream).matches(arrival, &meter)) {
@@ -44,47 +42,16 @@ class MultiQuerySink final : public RoutingSink {
       }
     }
     if (mask == 0) return false;
-    if (detached_accepts != nullptr) {
-      // Wall overlap worker: const query state only; the accept set is
-      // adopted with its batch.
-      detached_accepts->push_back(mask);
-    } else {
-      accepts_.push_back(mask);
-      last_accepts_ = mask;
-    }
+    accepts_.push_back(mask);
     return true;
   }
 
   void begin_batch() override { accepts_.clear(); }
 
-  void adopt_accepts(std::vector<std::uint64_t>& accepts) override {
-    accepts_.swap(accepts);
-  }
-
-  std::uint64_t route_one(const Tuple* stored, bool measured) override {
-    std::uint64_t total = 0;
-    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-      if ((last_accepts_ >> qi & 1) == 0) continue;
-      set_active_query(qi);
-      const bool want_rows = options_.collect_rows && measured &&
-                             rows_.size() < options_.max_collected_rows;
-      std::uint64_t produced;
-      if (want_rows || options_.on_result) {
-        result_sink_.clear();
-        produced = eddies_[qi]->route(stored, &result_sink_);
-        deliver(qi, want_rows);
-      } else {
-        produced = eddies_[qi]->route(stored);
-      }
-      total += produced;
-      per_query_[qi] += produced;
-    }
-    return total;
-  }
-
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
+                            bool measured,
                             const BatchVisibility* visibility) override {
     std::uint64_t total = 0;
     for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
@@ -104,8 +71,8 @@ class MultiQuerySink final : public RoutingSink {
       }
       if (sub_stored_.empty()) continue;
       set_active_query(qi);
-      const bool want_rows =
-          options_.collect_rows && rows_.size() < options_.max_collected_rows;
+      const bool want_rows = options_.collect_rows && measured &&
+                             rows_.size() < options_.max_collected_rows;
       const bool want_sink = want_rows || options_.on_result != nullptr;
       result_sink_.clear();
       const std::uint64_t produced = eddies_[qi]->route_batch(
@@ -148,7 +115,6 @@ class MultiQuerySink final : public RoutingSink {
   /// Accept bitmask per admitted slot of the live batch (bit qi = query qi
   /// accepted); parallel to the core's TupleBatch.
   std::vector<std::uint64_t> accepts_;
-  std::uint64_t last_accepts_ = 0;  ///< tuple path: the one admitted arrival
   std::vector<std::uint64_t> per_query_;  ///< cumulative outputs by query
   // Reusable per-call arenas (capacity persists across batches).
   std::vector<const Tuple*> sub_stored_;

@@ -74,10 +74,9 @@ class MultiQueryExecutor {
  private:
   std::vector<QuerySpec> queries_;
   ExecutorOptions options_;
-  /// The shared run-loop state (clock/meter/memory/pools/instruments).
+  /// The shared run-loop state (clock/meter/memory/pool/instruments).
   /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool, wall prefetch) and its pools must outlive every stem
-  /// probe path.
+  /// (fan-out pool) and its pool must outlive every stem probe path.
   PipelineRuntime rt_;
   std::vector<StateLayout> shared_layouts_;  ///< union JAS per stream
   std::vector<std::unique_ptr<StemOperator>> stems_;

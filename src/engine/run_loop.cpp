@@ -1,11 +1,9 @@
 #include "engine/run_loop.hpp"
 
 #include <algorithm>
-#include <cassert>
 #include <chrono>
 #include <deque>
 #include <optional>
-#include <thread>
 
 #include "engine/executor.hpp"
 #include "engine/stem.hpp"
@@ -22,19 +20,6 @@ PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
   if (options.stem.shards > 1) {
     pool = std::make_unique<ThreadPool>(options.fanout_threads);
     options.stem.pool = pool.get();
-  }
-  if (options.engine == EngineMode::kWall) {
-    if (options.wall_probe_prefetch) options.stem.probe_prefetch = true;
-    // Trace spans are emitted inline on the drain path, so sampling keeps
-    // the drain on the driver thread (overlap off). A single-core host
-    // gets no overlap either: the worker would just timeshare the driver's
-    // core, paying context switches for zero concurrency.
-    const bool cores_for_overlap =
-        options.wall_overlap_force || std::thread::hardware_concurrency() > 1;
-    if (options.wall_overlap && options.trace_sample == 0 &&
-        cores_for_overlap) {
-      overlap_pool = std::make_unique<ThreadPool>(1);
-    }
   }
   if (options.telemetry != nullptr) {
     auto& reg = options.telemetry->metrics();
@@ -94,592 +79,332 @@ void PipelineRuntime::emit_oom_event(telemetry::Telemetry* tel) {
   tel->emit(telemetry::EventKind::kOom, 0, std::move(w).take());
 }
 
-RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
-                       const std::vector<std::unique_ptr<StemOperator>>& stems,
-                       RoutingSink& sink, TupleSource& source) {
-  RunResult result;
+namespace {
+
+using SteadyClock = std::chrono::steady_clock;
+
+/// A sampled arrival awaiting its segment's routing: its span was begun
+/// (and the "arrival" stage emitted) at drain time, then suspended.
+struct PendingSpan {
+  std::size_t index = 0;  ///< arrival's index within the batch
+  std::uint64_t id = 0;
+  SteadyClock::time_point start{};
+};
+
+/// Everything one run_pipeline call carries from phase to phase.
+struct Pipeline {
+  Pipeline(const ExecutorOptions& o, PipelineRuntime& r,
+           const std::vector<std::unique_ptr<StemOperator>>& st,
+           RoutingSink& sk, TupleSource& src)
+      : options(o), rt(r), stems(st), sink(sk), source(src) {}
+
+  const ExecutorOptions& options;
+  PipelineRuntime& rt;
+  const std::vector<std::unique_ptr<StemOperator>>& stems;
+  RoutingSink& sink;
+  TupleSource& source;
+  telemetry::Telemetry* const tel = options.telemetry;
   const TimeMicros warmup_end = options.warmup;
   const TimeMicros measure_end = options.warmup + options.duration;
-  telemetry::Telemetry* const tel = options.telemetry;
-  const auto run_wall_t0 = std::chrono::steady_clock::now();
-
-  // Span sampling: every trace_sample-th drained arrival gets a span id
-  // that downstream producers (eddy hops, sharded fan-out) pick up via
-  // Telemetry::active_span().
+  /// Wall mode routes the whole batch as one segment under `visibility`;
+  /// virtual mode routes each same-stream run as its own segment.
+  const bool wall = options.engine == EngineMode::kWall;
+  /// Every trace_sample-th drained arrival gets a span id that downstream
+  /// producers (eddy hops, sharded fan-out) pick up via active_span().
   const std::size_t trace_sample = tel != nullptr ? options.trace_sample : 0;
-  std::uint64_t drained_arrivals = 0;
-  auto emit_span_stage = [&](std::uint64_t id, StreamId stream,
-                             const char* stage, auto&& extra) {
-    telemetry::JsonWriter w;
-    w.begin_object();
-    w.field("span", id);
-    w.field("stage", stage);
-    w.field("wall_ns", tel->wall_ns());
-    extra(w);
-    w.end_object();
-    tel->emit(telemetry::EventKind::kSpan, stream, std::move(w).take());
-  };
-  auto no_extra = [](telemetry::JsonWriter&) {};
+  /// Multi-query sinks: samples carry per-query output deltas past the
+  /// warm-up offsets, the same convention as `outputs`.
+  const bool per_query = sink.wants_per_query();
 
-  std::deque<Tuple> pending;
-  TupleBatch batch;                   // batched-drain arenas; capacity
-  std::vector<const Tuple*> stored_run;  // persists across batches
-  // A sampled arrival awaiting its batch's routing: its span was begun (and
-  // the "arrival" stage emitted) at drain time, then suspended. Every
-  // sampled arrival of a batch is tracked — the batched and tuple-at-a-time
-  // paths trace the same Nth drained arrivals.
-  struct PendingSpan {
-    std::size_t index = 0;  ///< arrival's index within the batch
-    std::uint64_t id = 0;
-    std::chrono::steady_clock::time_point start{};
-  };
-  std::vector<PendingSpan> batch_spans;
-  // Wall-mode arenas: batch-order stored pointers and the sequence horizon
-  // handed to route_batch, plus the overlap double buffer the worker
-  // thread drains into while the driver routes. The worker only ever runs
-  // between its submit and the wait_idle at the end of the same iteration;
-  // the driver does not touch `pending` or `prefetched` in that window, so
-  // ownership alternates with pool-mutex synchronisation in between.
-  std::vector<const Tuple*> wall_stored;
-  BatchVisibility wall_visibility;
-  struct PrefetchedBatch {
-    TupleBatch batch;
-    CostMeter meter;  ///< detached — counts the worker's WHERE comparisons
-    /// Per-admitted-slot accept sets the sink recorded off-thread,
-    /// adopted via RoutingSink::adopt_accepts when the batch is.
-    std::vector<std::uint64_t> accepts;
-    std::uint64_t filtered = 0;
-    double drain_wall_us = 0.0;
-  };
-  PrefetchedBatch prefetched;
-  bool have_prefetched = false;
+  RunResult result;
+  std::deque<Tuple> pending;  ///< due arrivals not yet drained (backlog)
   std::optional<Tuple> lookahead = source.next();
-  bool warmup_done = (options.warmup == 0);
+  TupleBatch batch;
+  std::vector<const Tuple*> stored;  ///< batch-order stored copies
+  BatchVisibility visibility;        ///< wall mode's sequence horizon
+  std::vector<PendingSpan> spans;    ///< sampled arrivals, batch order
+  std::size_t span_cursor = 0;       ///< first span not yet routed
+  std::uint64_t drained_arrivals = 0;
+  bool warmup_done = options.warmup == 0;
+  bool backpressure_armed = true;
   std::uint64_t outputs_total = 0;
   std::uint64_t outputs_offset = 0;
-  std::uint64_t arrivals_measured = 0;
-  TimeMicros next_sample = warmup_end + options.sample_every;
-  bool backpressure_armed = true;
-  // Per-query output attribution (multi-query sinks only): cumulative
-  // counts pulled from the sink, reported as deltas past the warm-up
-  // offsets — the same convention as `outputs`.
-  const bool per_query = sink.wants_per_query();
+  TimeMicros next_sample = options.warmup + options.sample_every;
   std::vector<std::uint64_t> pq_scratch;
   std::vector<std::uint64_t> pq_offsets;
+};
 
-  if (tel != nullptr) {
+template <typename Extra>
+void emit_span_stage(const Pipeline& p, std::uint64_t id, StreamId stream,
+                     const char* stage, Extra&& extra) {
+  telemetry::JsonWriter w;
+  w.begin_object();
+  w.field("span", id);
+  w.field("stage", stage);
+  w.field("wall_ns", p.tel->wall_ns());
+  extra(w);
+  w.end_object();
+  p.tel->emit(telemetry::EventKind::kSpan, stream, std::move(w).take());
+}
+
+void emit_run_start(const Pipeline& p) {
+  if (p.tel == nullptr) return;
+  telemetry::JsonWriter w;
+  w.begin_object();
+  w.field("warmup_us", static_cast<std::uint64_t>(p.options.warmup));
+  w.field("duration_us", static_cast<std::uint64_t>(p.options.duration));
+  w.field("streams", static_cast<std::uint64_t>(p.stems.size()));
+  w.field("memory_budget",
+          static_cast<std::uint64_t>(p.options.memory_budget));
+  w.end_object();
+  p.tel->emit(telemetry::EventKind::kRunStart, 0, std::move(w).take());
+}
+
+/// Phase kSample: record the engine state at virtual time `at`.
+void sample(Pipeline& p, TimeMicros at) {
+  telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kSample);
+  Sample s;
+  s.t = at - p.warmup_end;
+  s.outputs = p.outputs_total - p.outputs_offset;
+  s.memory_bytes = p.rt.memory.total();
+  s.backlog = p.pending.size();
+  if (p.per_query) {
+    p.pq_scratch.clear();
+    p.sink.per_query_outputs(p.pq_scratch);
+    if (p.pq_offsets.size() < p.pq_scratch.size()) {
+      p.pq_offsets.resize(p.pq_scratch.size(), 0);
+    }
+    s.per_query_outputs.resize(p.pq_scratch.size());
+    for (std::size_t q = 0; q < p.pq_scratch.size(); ++q) {
+      s.per_query_outputs[q] = p.pq_scratch[q] - p.pq_offsets[q];
+    }
+  }
+  if (p.tel != nullptr) {
+    for (const auto& stem : p.stems) {
+      StateSample ss;
+      ss.stream = stem->stream();
+      ss.stored_tuples = stem->stored_tuples();
+      ss.probes = stem->probes_served();
+      ss.migrations = stem->migrations();
+      const index::IndexConfig* ic = stem->current_config();
+      ss.index_config =
+          ic != nullptr ? ic->to_string() : stem->physical_index().name();
+      s.states.push_back(std::move(ss));
+    }
     telemetry::JsonWriter w;
     w.begin_object();
-    w.field("warmup_us", static_cast<std::uint64_t>(options.warmup));
-    w.field("duration_us", static_cast<std::uint64_t>(options.duration));
-    w.field("streams", static_cast<std::uint64_t>(stems.size()));
-    w.field("memory_budget",
-            static_cast<std::uint64_t>(options.memory_budget));
+    w.field("t", static_cast<std::int64_t>(s.t));
+    w.field("outputs", s.outputs);
+    w.field("memory_bytes", static_cast<std::uint64_t>(s.memory_bytes));
+    w.field("backlog", static_cast<std::uint64_t>(s.backlog));
+    if (p.per_query) {
+      w.begin_array("per_query");
+      for (const std::uint64_t q : s.per_query_outputs) w.value(q);
+      w.end_array();
+    }
+    w.begin_array("states");
+    for (const StateSample& ss : s.states) {
+      telemetry::JsonWriter sw;
+      sw.begin_object();
+      sw.field("stream", static_cast<std::uint64_t>(ss.stream));
+      sw.field("tuples", static_cast<std::uint64_t>(ss.stored_tuples));
+      sw.field("probes", ss.probes);
+      sw.field("migrations", ss.migrations);
+      sw.field("ic", ss.index_config);
+      sw.end_object();
+      w.value_raw(std::move(sw).take());
+    }
+    w.end_array();
     w.end_object();
-    tel->emit(telemetry::EventKind::kRunStart, 0, std::move(w).take());
+    p.tel->emit(telemetry::EventKind::kSample, 0, std::move(w).take());
+  }
+  p.result.samples.push_back(std::move(s));
+}
+
+void check_backpressure(Pipeline& p) {
+  const std::size_t threshold = p.options.backpressure_threshold;
+  if (p.tel == nullptr || threshold == 0) return;
+  if (p.backpressure_armed && p.pending.size() >= threshold) {
+    p.backpressure_armed = false;
+    telemetry::JsonWriter w;
+    w.begin_object();
+    w.field("backlog", static_cast<std::uint64_t>(p.pending.size()));
+    w.field("threshold", static_cast<std::uint64_t>(threshold));
+    w.end_object();
+    p.tel->emit(telemetry::EventKind::kBackpressure, 0, std::move(w).take());
+  } else if (!p.backpressure_armed && p.pending.size() <= threshold / 2) {
+    p.backpressure_armed = true;
+  }
+}
+
+/// Warm-up boundary: apply trained configurations exactly once and take
+/// the measurement-start baseline sample (t = 0).
+void finish_warmup(Pipeline& p) {
+  for (const auto& stem : p.stems) stem->finish_warmup();
+  p.outputs_offset = p.outputs_total;
+  if (p.per_query) {
+    p.pq_offsets.clear();
+    p.sink.per_query_outputs(p.pq_offsets);
+  }
+  p.warmup_done = true;
+  sample(p, p.warmup_end);
+}
+
+enum class Drained : std::uint8_t {
+  kBatch,    ///< the batch holds admitted arrivals to process
+  kNothing,  ///< idle, or every drained arrival was filtered out
+  kStop,     ///< memory exhausted, source exhausted or run over
+};
+
+/// Phase kDrain: pull every due arrival into the backlog, then pop up to
+/// one batch from it through the sink's WHERE admission. Warm-up drains
+/// batches of one, so the warm-up boundary falls on the same arrival at
+/// every batch size.
+Drained drain(Pipeline& p) {
+  telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kDrain);
+  while (p.lookahead.has_value() && p.lookahead->ts <= p.rt.clock.now()) {
+    p.pending.push_back(*p.lookahead);
+    p.lookahead = p.source.next();
+  }
+  p.rt.sync_queue_memory(p.pending.size());
+  check_backpressure(p);
+  if (p.rt.memory.exhausted()) return Drained::kStop;
+  if (p.pending.empty()) {
+    if (!p.lookahead.has_value()) return Drained::kStop;  // source exhausted
+    if (p.lookahead->ts >= p.measure_end) {
+      p.rt.clock.advance_to(p.measure_end);
+      return Drained::kStop;
+    }
+    p.rt.clock.advance_to(p.lookahead->ts);  // idle until the next arrival
+    return Drained::kNothing;
   }
 
-  auto take_sample = [&](TimeMicros at) {
-    telemetry::ScopedPhase sample_scope(rt.profiler, telemetry::Phase::kSample);
-    Sample s;
-    s.t = at - warmup_end;
-    s.outputs = outputs_total - outputs_offset;
-    s.memory_bytes = rt.memory.total();
-    s.backlog = pending.size();
-    if (per_query) {
-      pq_scratch.clear();
-      sink.per_query_outputs(pq_scratch);
-      if (pq_offsets.size() < pq_scratch.size()) {
-        pq_offsets.resize(pq_scratch.size(), 0);
-      }
-      s.per_query_outputs.resize(pq_scratch.size());
-      for (std::size_t q = 0; q < pq_scratch.size(); ++q) {
-        s.per_query_outputs[q] = pq_scratch[q] - pq_offsets[q];
-      }
+  p.batch.clear();
+  p.stored.clear();
+  p.spans.clear();
+  p.span_cursor = 0;
+  p.sink.begin_batch();
+  const std::size_t cap =
+      p.warmup_done ? std::max<std::size_t>(p.options.batch_size, 1) : 1;
+  const std::size_t want = std::min(cap, p.pending.size());
+  for (std::size_t i = 0; i < want; ++i) {
+    const Tuple arrival = p.pending.front();
+    p.pending.pop_front();
+    if (!p.warmup_done && p.rt.clock.now() >= p.warmup_end) {
+      // The t = 0 sample sees the backlog without this arrival.
+      p.rt.sync_queue_memory(p.pending.size());
+      finish_warmup(p);
     }
-    if (tel != nullptr) {
-      for (const auto& stem : stems) {
-        StateSample ss;
-        ss.stream = stem->stream();
-        ss.stored_tuples = stem->stored_tuples();
-        ss.probes = stem->probes_served();
-        ss.migrations = stem->migrations();
-        const index::IndexConfig* ic = stem->current_config();
-        ss.index_config =
-            ic != nullptr ? ic->to_string() : stem->physical_index().name();
-        s.states.push_back(std::move(ss));
-      }
-      telemetry::JsonWriter w;
-      w.begin_object();
-      w.field("t", static_cast<std::int64_t>(s.t));
-      w.field("outputs", s.outputs);
-      w.field("memory_bytes", static_cast<std::uint64_t>(s.memory_bytes));
-      w.field("backlog", static_cast<std::uint64_t>(s.backlog));
-      if (per_query) {
-        w.begin_array("per_query");
-        for (const std::uint64_t q : s.per_query_outputs) w.value(q);
-        w.end_array();
-      }
-      w.begin_array("states");
-      for (const StateSample& ss : s.states) {
-        telemetry::JsonWriter sw;
-        sw.begin_object();
-        sw.field("stream", static_cast<std::uint64_t>(ss.stream));
-        sw.field("tuples", static_cast<std::uint64_t>(ss.stored_tuples));
-        sw.field("probes", ss.probes);
-        sw.field("migrations", ss.migrations);
-        sw.field("ic", ss.index_config);
-        sw.end_object();
-        w.value_raw(std::move(sw).take());
-      }
-      w.end_array();
-      w.end_object();
-      tel->emit(telemetry::EventKind::kSample, 0, std::move(w).take());
-    }
-    result.samples.push_back(std::move(s));
-  };
-
-  auto check_backpressure = [&] {
-    if (tel == nullptr || options.backpressure_threshold == 0) return;
-    if (backpressure_armed &&
-        pending.size() >= options.backpressure_threshold) {
-      backpressure_armed = false;
-      telemetry::JsonWriter w;
-      w.begin_object();
-      w.field("backlog", static_cast<std::uint64_t>(pending.size()));
-      w.field("threshold",
-              static_cast<std::uint64_t>(options.backpressure_threshold));
-      w.end_object();
-      tel->emit(telemetry::EventKind::kBackpressure, 0, std::move(w).take());
-    } else if (!backpressure_armed &&
-               pending.size() <= options.backpressure_threshold / 2) {
-      backpressure_armed = true;
-    }
-  };
-
-  auto finish_warmup = [&] {
-    for (auto& stem : stems) stem->finish_warmup();
-    outputs_offset = outputs_total;
-    if (per_query) {
-      pq_offsets.clear();
-      sink.per_query_outputs(pq_offsets);
-    }
-    warmup_done = true;
-    take_sample(warmup_end);  // measurement-start baseline (t = 0)
-  };
-
-  // Drain up to `want` backlog arrivals into `batch`: sink admission (WHERE
-  // selection) is applied (filtered arrivals are counted and, if sampled,
-  // traced), and every sampled surviving arrival records a PendingSpan so
-  // its span can resume when the batch routes. Shared by the batched
-  // virtual path and the wall path.
-  auto drain_batch = [&](std::size_t want) {
-    for (std::size_t i = 0; i < want; ++i) {
-      const Tuple arrival = pending.front();
-      pending.pop_front();
-      const bool sampled =
-          trace_sample != 0 && (++drained_arrivals % trace_sample) == 0;
-      if (!sink.admit(arrival, rt.meter, nullptr)) {
-        ++result.arrivals_filtered;
-        if (sampled) {
-          const std::uint64_t id = tel->begin_span();
-          emit_span_stage(id, arrival.stream, "arrival",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("backlog", static_cast<std::uint64_t>(
-                                                   pending.size()));
-                          });
-          emit_span_stage(id, arrival.stream, "filtered", no_extra);
-          tel->end_span();
-        }
-        continue;
-      }
-      if (sampled) {
-        PendingSpan ps;
-        ps.index = batch.size();
-        ps.id = tel->begin_span();
-        ps.start = std::chrono::steady_clock::now();
-        emit_span_stage(ps.id, arrival.stream, "arrival",
-                        [&](telemetry::JsonWriter& w) {
-                          w.field("backlog",
-                                  static_cast<std::uint64_t>(pending.size()));
-                        });
-        tel->end_span();  // suspended until the owning batch routes
-        batch_spans.push_back(ps);
-      }
-      batch.push(arrival);
-    }
-    rt.sync_queue_memory(pending.size());
-  };
-
-  while (rt.clock.now() < measure_end) {
-    {
-      telemetry::ScopedPhase drain_scope(rt.profiler, telemetry::Phase::kDrain);
-      // Pull every arrival whose timestamp has passed into the backlog.
-      while (lookahead.has_value() && lookahead->ts <= rt.clock.now()) {
-        pending.push_back(*lookahead);
-        lookahead = source.next();
-      }
-      rt.sync_queue_memory(pending.size());
-      check_backpressure();
-      if (rt.memory.exhausted()) break;
-
-      if (pending.empty() && !have_prefetched) {
-        if (!lookahead.has_value()) break;  // source exhausted, system idle
-        if (lookahead->ts >= measure_end) {
-          rt.clock.advance_to(measure_end);
-          break;
-        }
-        rt.clock.advance_to(lookahead->ts);  // idle until the next arrival
-        continue;
-      }
-    }
-
-    // Wall-clock engine (post-warm-up only, so the warm-up boundary below
-    // stays on the tuple-at-a-time path): adopt the worker-drained batch or
-    // drain inline, insert the whole mixed-stream batch up front, route it
-    // as ONE partition under the per-root sequence horizon, and overlap the
-    // next drain with the routing.
-    if (options.engine == EngineMode::kWall && warmup_done) {
-      const std::size_t batch_cap =
-          std::max<std::size_t>(options.batch_size, 1);
-      batch.clear();
-      batch_spans.clear();
-      sink.begin_batch();
-      if (have_prefetched) {
-        // Adopt: merge the worker's WHERE-selection charges (counted on a
-        // detached meter), filtered total and accept sets, and attribute
-        // its drain wall time as off-thread overlap.
-        std::swap(batch, prefetched.batch);
-        have_prefetched = false;
-        sink.adopt_accepts(prefetched.accepts);
-        if (prefetched.meter.compares() > 0) {
-          rt.meter.charge_compare(prefetched.meter.compares());
-        }
-        result.arrivals_filtered += prefetched.filtered;
-        if (rt.profiler != nullptr && prefetched.drain_wall_us > 0.0) {
-          rt.profiler->record_offthread(telemetry::Phase::kDrain,
-                                        prefetched.drain_wall_us);
-        }
-        rt.sync_queue_memory(pending.size());
-      } else {
-        telemetry::ScopedPhase drain_scope(rt.profiler,
-                                           telemetry::Phase::kDrain);
-        drain_batch(std::min(batch_cap, pending.size()));
-      }
-      if (batch.empty()) continue;  // whole drain was filtered out
-
-      {
-        telemetry::ScopedPhase expiry_scope(rt.profiler,
-                                            telemetry::Phase::kExpiry);
-        for (auto& stem : stems) stem->expire(rt.clock.now());
-      }
-
-      // Insert the whole batch, run by run (per-stream arrival order is
-      // preserved — each STeM holds one stream, and runs appear in batch
-      // order), collecting batch-order stored pointers for the horizon.
-      wall_stored.resize(batch.size());
-      {
-        telemetry::ScopedPhase insert_scope(rt.profiler,
-                                            telemetry::Phase::kInsert);
-        for (std::size_t a = 0; a < batch.size();) {
-          const std::size_t b = batch.run_end(a);
-          stored_run.clear();
-          stems[batch.tuples[a].stream]->insert_batch(
-              batch.tuples.data() + a, b - a, stored_run);
-          std::copy(stored_run.begin(), stored_run.end(),
-                    wall_stored.begin() + static_cast<std::ptrdiff_t>(a));
-          a = b;
-        }
-      }
-      wall_visibility.assign(wall_stored.data(), batch.size());
-
-      const bool batch_has_span = !batch_spans.empty();
-      if (batch_has_span) {
-        tel->resume_span(batch_spans.front().id);
-        for (const PendingSpan& ps : batch_spans) {
-          emit_span_stage(ps.id, batch.tuples[ps.index].stream, "insert",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("batch", static_cast<std::uint64_t>(
-                                                 batch.size()));
-                          });
-        }
-      }
-
-      // Kick the overlap worker: it pops and WHERE-filters the NEXT batch
-      // from the backlog while the driver routes this one. The backlog
-      // only ever holds due arrivals, so the worker needs no clock view;
-      // its admission work goes to the detached local meter and accepts
-      // buffer (the sink's admit must be thread-safe in that form). The
-      // driver does not touch `pending` or `prefetched` again until the
-      // wait_idle below.
-      bool worker_outstanding = false;
-      if (rt.overlap_pool != nullptr && !pending.empty()) {
-        prefetched.batch.clear();
-        prefetched.accepts.clear();
-        prefetched.filtered = 0;
-        prefetched.meter.reset_counts();
-        prefetched.drain_wall_us = 0.0;
-        const std::size_t want = std::min(batch_cap, pending.size());
-        rt.overlap_pool->submit([&sink, &pending, &prefetched, want] {
-          const auto t0 = std::chrono::steady_clock::now();
-          for (std::size_t i = 0; i < want; ++i) {
-            const Tuple arrival = pending.front();
-            pending.pop_front();
-            if (!sink.admit(arrival, prefetched.meter, &prefetched.accepts)) {
-              ++prefetched.filtered;
-              continue;
-            }
-            prefetched.batch.push(arrival);
-          }
-          prefetched.drain_wall_us =
-              std::chrono::duration<double, std::micro>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count();
-        });
-        worker_outstanding = true;
-      }
-
-      std::uint64_t produced = 0;
-      {
-        telemetry::ScopedPhase route_scope(rt.profiler,
-                                           telemetry::Phase::kRoute);
-        produced = sink.route_batch(
-            wall_stored.data(), batch.done.data(), 0, batch.size(),
-            batch_has_span ? batch_spans.front().index
-                           : RoutingSink::kNoSpanRoot,
-            &wall_visibility);
-      }
-      outputs_total += produced;
-      if (batch_has_span) {
-        for (const PendingSpan& ps : batch_spans) {
-          const auto latency_ns =
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - ps.start)
-                  .count();
-          emit_span_stage(ps.id, batch.tuples[ps.index].stream, "done",
-                          [&](telemetry::JsonWriter& w) {
-                            w.field("latency_ns",
-                                    static_cast<std::uint64_t>(latency_ns));
-                            w.field("run_results", produced);
-                            w.field("batched", true);
-                          });
-          rt.span_latency_hist->observe(static_cast<double>(latency_ns) /
-                                        1000.0);
-        }
-        tel->end_span();
-      }
-      arrivals_measured += batch.size();
-
-      if (worker_outstanding) {
-        telemetry::ScopedPhase wait_scope(rt.profiler,
-                                          telemetry::Phase::kOverlapWait);
-        rt.overlap_pool->wait_idle();
-        have_prefetched = true;
-      }
-
-      if (rt.memory.exhausted()) break;
-      while (rt.clock.now() >= next_sample && next_sample <= measure_end) {
-        take_sample(next_sample);
-        next_sample += options.sample_every;
-      }
-      continue;
-    }
-
-    // Batched drain (post-warm-up only, so the warm-up boundary below is
-    // always hit on the tuple-at-a-time path): pull up to batch_size ready
-    // arrivals, expire every window once, then batch-insert and
-    // batch-route each consecutive same-stream run.
-    if (options.batch_size > 1 && warmup_done) {
-      batch.clear();
-      batch_spans.clear();
-      sink.begin_batch();
-      {
-        telemetry::ScopedPhase drain_scope(rt.profiler,
-                                           telemetry::Phase::kDrain);
-        drain_batch(std::min(options.batch_size, pending.size()));
-      }
-      if (batch.empty()) continue;  // whole drain was filtered out
-
-      {
-        telemetry::ScopedPhase expiry_scope(rt.profiler,
-                                            telemetry::Phase::kExpiry);
-        for (auto& stem : stems) stem->expire(rt.clock.now());
-      }
-      {
-        telemetry::ScopedPhase route_scope(rt.profiler,
-                                           telemetry::Phase::kRoute);
-        // Spans are listed in batch-index order; walk them run by run.
-        std::size_t span_cursor = 0;
-        for (std::size_t a = 0; a < batch.size();) {
-          const std::size_t b = batch.run_end(a);
-          const StreamId s = batch.tuples[a].stream;
-          stored_run.clear();
-          const std::size_t span_lo = span_cursor;
-          while (span_cursor < batch_spans.size() &&
-                 batch_spans[span_cursor].index < b) {
-            ++span_cursor;
-          }
-          const bool run_has_span = span_lo < span_cursor;
-          // The eddy attaches hop events to one active span per call; the
-          // run's first sampled arrival carries it. Every sampled arrival
-          // still gets its own insert/done stages and latency observation.
-          if (run_has_span) tel->resume_span(batch_spans[span_lo].id);
-          {
-            telemetry::ScopedPhase insert_scope(rt.profiler,
-                                                telemetry::Phase::kInsert);
-            stems[s]->insert_batch(batch.tuples.data() + a, b - a,
-                                   stored_run);
-          }
-          for (std::size_t k = span_lo; k < span_cursor; ++k) {
-            emit_span_stage(batch_spans[k].id, s, "insert",
-                            [&](telemetry::JsonWriter& w) {
-                              w.field("batch",
-                                      static_cast<std::uint64_t>(b - a));
-                            });
-          }
-          const std::uint64_t produced = sink.route_batch(
-              stored_run.data(), batch.done.data() + a, a, b - a,
-              run_has_span ? batch_spans[span_lo].index - a
-                           : RoutingSink::kNoSpanRoot,
-              nullptr);
-          outputs_total += produced;
-          for (std::size_t k = span_lo; k < span_cursor; ++k) {
-            const auto latency =
-                std::chrono::steady_clock::now() - batch_spans[k].start;
-            const auto latency_ns =
-                std::chrono::duration_cast<std::chrono::nanoseconds>(latency)
-                    .count();
-            emit_span_stage(batch_spans[k].id, s, "done",
-                            [&](telemetry::JsonWriter& w) {
-                              w.field("latency_ns", static_cast<std::uint64_t>(
-                                                        latency_ns));
-                              w.field("run_results", produced);
-                              w.field("batched", true);
-                            });
-            rt.span_latency_hist->observe(static_cast<double>(latency_ns) /
-                                          1000.0);
-          }
-          if (run_has_span) tel->end_span();
-          a = b;
-        }
-      }
-      arrivals_measured += batch.size();
-
-      if (rt.memory.exhausted()) break;
-      while (rt.clock.now() >= next_sample && next_sample <= measure_end) {
-        take_sample(next_sample);
-        next_sample += options.sample_every;
-      }
-      continue;
-    }
-
-    const Tuple arrival = pending.front();
-    pending.pop_front();
-    rt.sync_queue_memory(pending.size());
-
-    // Warm-up boundary: apply trained configurations exactly once.
-    if (!warmup_done && rt.clock.now() >= warmup_end) finish_warmup();
-
     const bool sampled =
-        trace_sample != 0 && (++drained_arrivals % trace_sample) == 0;
-    std::chrono::steady_clock::time_point span_start{};
-    std::uint64_t span_id = 0;
+        p.trace_sample != 0 && (++p.drained_arrivals % p.trace_sample) == 0;
+    PendingSpan span;
     if (sampled) {
-      span_start = std::chrono::steady_clock::now();
-      span_id = tel->begin_span();
-      emit_span_stage(span_id, arrival.stream, "arrival",
+      span.index = p.batch.size();
+      span.start = SteadyClock::now();
+      span.id = p.tel->begin_span();
+      emit_span_stage(p, span.id, arrival.stream, "arrival",
                       [&](telemetry::JsonWriter& w) {
                         w.field("backlog",
-                                static_cast<std::uint64_t>(pending.size()));
+                                static_cast<std::uint64_t>(p.pending.size()));
                       });
     }
-
-    // WHERE-clause selection (the sink's admission): filtered tuples are
-    // neither stored nor routed (the paper's S of SPJ happens before the
-    // join network).
-    sink.begin_batch();
-    if (!sink.admit(arrival, rt.meter, nullptr)) {
-      if (warmup_done) ++result.arrivals_filtered;
+    // WHERE-clause selection: filtered arrivals are neither stored nor
+    // routed (the paper's S of SPJ happens before the join network).
+    const bool admitted = p.sink.admit(arrival, p.rt.meter);
+    if (!admitted) {
+      if (p.warmup_done) ++p.result.arrivals_filtered;
       if (sampled) {
-        emit_span_stage(span_id, arrival.stream, "filtered", no_extra);
-        tel->end_span();
+        emit_span_stage(p, span.id, arrival.stream, "filtered",
+                        [](telemetry::JsonWriter&) {});
       }
-      continue;
     }
-
-    // Expire all windows to the current time, store, then route.
-    {
-      telemetry::ScopedPhase expiry_scope(rt.profiler,
-                                          telemetry::Phase::kExpiry);
-      for (auto& stem : stems) stem->expire(rt.clock.now());
-    }
-    const Tuple* stored;
-    {
-      telemetry::ScopedPhase insert_scope(rt.profiler,
-                                          telemetry::Phase::kInsert);
-      stored = stems[arrival.stream]->insert(arrival);
-    }
-    if (sampled) {
-      emit_span_stage(span_id, arrival.stream, "insert", no_extra);
-    }
-    std::uint64_t produced = 0;
-    {
-      telemetry::ScopedPhase route_scope(rt.profiler,
-                                         telemetry::Phase::kRoute);
-      produced = sink.route_one(stored, warmup_done);
-    }
-    outputs_total += produced;
-    if (sampled) {
-      const auto latency_ns =
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - span_start)
-              .count();
-      emit_span_stage(span_id, arrival.stream, "done",
-                      [&](telemetry::JsonWriter& w) {
-                        w.field("latency_ns",
-                                static_cast<std::uint64_t>(latency_ns));
-                        w.field("run_results", produced);
-                        w.field("batched", false);
-                      });
-      rt.span_latency_hist->observe(static_cast<double>(latency_ns) / 1000.0);
-      tel->end_span();
-    }
-    if (warmup_done) ++arrivals_measured;
-
-    if (rt.memory.exhausted()) break;
-
-    while (warmup_done && rt.clock.now() >= next_sample &&
-           next_sample <= measure_end) {
-      take_sample(next_sample);
-      next_sample += options.sample_every;
-    }
+    if (sampled) p.tel->end_span();  // resumed when its segment routes
+    if (!admitted) continue;
+    if (sampled) p.spans.push_back(span);
+    p.batch.push(arrival);
   }
+  p.rt.sync_queue_memory(p.pending.size());
+  return p.batch.empty() ? Drained::kNothing : Drained::kBatch;
+}
 
-  if (!warmup_done) finish_warmup();
+/// Phase kExpiry: expire every window to the current time, once per batch.
+void expire(Pipeline& p) {
+  telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kExpiry);
+  for (const auto& stem : p.stems) stem->expire(p.rt.clock.now());
+}
 
-  const TimeMicros end_now = std::min(rt.clock.now(), measure_end);
-  if (rt.memory.exhausted()) {
-    result.died_at = end_now - warmup_end;
-    rt.emit_oom_event(tel);
-  } else {
-    result.completed = rt.clock.now() >= measure_end || !lookahead.has_value();
+/// Phase kInsert: store batch slots [a, b) run by run (each STeM holds one
+/// stream, so per-stream arrival order is kept), appending their stored
+/// copies to `stored` in batch order.
+void insert(Pipeline& p, std::size_t a, std::size_t b) {
+  {
+    telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kInsert);
+    for (std::size_t r = a; r < b;) {
+      const std::size_t e = p.batch.run_end(r);
+      p.stems[p.batch.tuples[r].stream]->insert_batch(
+          p.batch.tuples.data() + r, e - r, p.stored);
+      r = e;
+    }
+    if (p.wall) p.visibility.assign(p.stored.data() + a, b - a);
   }
-  take_sample(end_now >= warmup_end ? end_now : warmup_end);
-
-  result.outputs = outputs_total - outputs_offset;
-  result.arrivals = arrivals_measured;
-  result.arrivals_dropped = pending.size();
-  if (have_prefetched) {
-    // Wall overlap: the worker had already popped these arrivals off the
-    // backlog when the run ended; they were never routed (their selection
-    // charges were never merged either), so they count as dropped.
-    result.arrivals_dropped += prefetched.batch.size() + prefetched.filtered;
+  for (std::size_t k = p.span_cursor;
+       k < p.spans.size() && p.spans[k].index < b; ++k) {
+    const PendingSpan& span = p.spans[k];
+    emit_span_stage(p, span.id, p.batch.tuples[span.index].stream, "insert",
+                    [&](telemetry::JsonWriter& w) {
+                      w.field("batch", static_cast<std::uint64_t>(b - a));
+                    });
   }
-  result.peak_memory = rt.memory.peak();
-  result.charged_us = rt.meter.charged_us();
-  result.routing_decisions = rt.meter.routes();
-  sink.take_rows(result.rows);
-  for (const auto& stem : stems) {
+}
+
+/// Phase kRoute: route the inserted batch slots [a, b) through the sink,
+/// then close every sampled arrival's span in the segment.
+void route(Pipeline& p, std::size_t a, std::size_t b) {
+  const std::size_t lo = p.span_cursor;
+  while (p.span_cursor < p.spans.size() && p.spans[p.span_cursor].index < b) {
+    ++p.span_cursor;
+  }
+  const bool traced = lo < p.span_cursor;
+  // The eddy attaches hop events to one active span per call; the
+  // segment's first sampled arrival carries it. Every sampled arrival still
+  // gets its own insert/done stages and latency observation.
+  if (traced) p.tel->resume_span(p.spans[lo].id);
+  std::uint64_t produced = 0;
+  {
+    telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kRoute);
+    produced = p.sink.route_batch(
+        p.stored.data() + a, p.batch.done.data() + a, a, b - a,
+        traced ? p.spans[lo].index - a : RoutingSink::kNoSpanRoot,
+        p.warmup_done, p.wall ? &p.visibility : nullptr);
+  }
+  p.outputs_total += produced;
+  for (std::size_t k = lo; k < p.span_cursor; ++k) {
+    const PendingSpan& span = p.spans[k];
+    const auto latency_ns =
+        std::chrono::duration_cast<std::chrono::nanoseconds>(
+            SteadyClock::now() - span.start)
+            .count();
+    emit_span_stage(p, span.id, p.batch.tuples[span.index].stream, "done",
+                    [&](telemetry::JsonWriter& w) {
+                      w.field("latency_ns",
+                              static_cast<std::uint64_t>(latency_ns));
+                      w.field("run_results", produced);
+                    });
+    p.rt.span_latency_hist->observe(static_cast<double>(latency_ns) / 1000.0);
+  }
+  if (traced) p.tel->end_span();
+}
+
+/// Fill the run result from the final engine state and emit run_end.
+void summarize(Pipeline& p) {
+  RunResult& r = p.result;
+  r.outputs = p.outputs_total - p.outputs_offset;
+  r.arrivals_dropped = p.pending.size();
+  r.peak_memory = p.rt.memory.peak();
+  r.charged_us = p.rt.meter.charged_us();
+  r.routing_decisions = p.rt.meter.routes();
+  p.sink.take_rows(r.rows);
+  for (const auto& stem : p.stems) {
     StateSummary s;
     s.stream = stem->stream();
     s.stored_tuples = stem->stored_tuples();
@@ -691,27 +416,71 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
     s.shards = stem->shard_count();
     s.shard_imbalance = stem->shard_imbalance();
     s.final_index = stem->physical_index().name();
-    result.states.push_back(std::move(s));
+    r.states.push_back(std::move(s));
   }
-  if (tel != nullptr) {
+  if (p.tel != nullptr) {
     telemetry::JsonWriter w;
     w.begin_object();
-    w.field("outputs", result.outputs);
-    w.field("arrivals", result.arrivals);
-    w.field("dropped", result.arrivals_dropped);
-    w.field("completed", result.completed);
-    w.field("died", result.died_at.has_value());
-    w.field("peak_memory", static_cast<std::uint64_t>(result.peak_memory));
-    w.field("charged_us", result.charged_us);
+    w.field("outputs", r.outputs);
+    w.field("arrivals", r.arrivals);
+    w.field("dropped", r.arrivals_dropped);
+    w.field("completed", r.completed);
+    w.field("died", r.died_at.has_value());
+    w.field("peak_memory", static_cast<std::uint64_t>(r.peak_memory));
+    w.field("charged_us", r.charged_us);
     w.end_object();
-    tel->emit(telemetry::EventKind::kRunEnd, 0, std::move(w).take());
+    p.tel->emit(telemetry::EventKind::kRunEnd, 0, std::move(w).take());
   }
+}
+
+}  // namespace
+
+RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
+                       const std::vector<std::unique_ptr<StemOperator>>& stems,
+                       RoutingSink& sink, TupleSource& source) {
+  const auto run_wall_t0 = SteadyClock::now();
+  Pipeline p(options, rt, stems, sink, source);
+  emit_run_start(p);
+
+  while (rt.clock.now() < p.measure_end) {
+    const Drained drained = drain(p);
+    if (drained == Drained::kStop) break;
+    if (drained == Drained::kNothing) continue;
+    expire(p);
+    // Segments: each same-stream run (virtual), or the whole mixed-stream
+    // batch under the sequence horizon (wall).
+    for (std::size_t a = 0; a < p.batch.size();) {
+      const std::size_t b = p.wall ? p.batch.size() : p.batch.run_end(a);
+      insert(p, a, b);
+      route(p, a, b);
+      a = b;
+    }
+    if (p.warmup_done) p.result.arrivals += p.batch.size();
+    if (rt.memory.exhausted()) break;
+    while (p.warmup_done && rt.clock.now() >= p.next_sample &&
+           p.next_sample <= p.measure_end) {
+      sample(p, p.next_sample);
+      p.next_sample += options.sample_every;
+    }
+  }
+
+  if (!p.warmup_done) finish_warmup(p);
+  const TimeMicros end_now = std::min(rt.clock.now(), p.measure_end);
+  if (rt.memory.exhausted()) {
+    p.result.died_at = end_now - p.warmup_end;
+    rt.emit_oom_event(p.tel);
+  } else {
+    p.result.completed =
+        rt.clock.now() >= p.measure_end || !p.lookahead.has_value();
+  }
+  sample(p, std::max(end_now, p.warmup_end));
+  summarize(p);
   if (rt.run_wall_gauge != nullptr) {
     rt.run_wall_gauge->set(std::chrono::duration<double, std::micro>(
-                               std::chrono::steady_clock::now() - run_wall_t0)
+                               SteadyClock::now() - run_wall_t0)
                                .count());
   }
-  return result;
+  return std::move(p.result);
 }
 
 }  // namespace amri::engine

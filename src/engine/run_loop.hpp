@@ -1,15 +1,18 @@
 // The shared pipeline core: ONE drain → expiry → insert → route → sample
-// → memory-accounting loop serving every executor. The loop is
-// query-agnostic — everything query-specific (WHERE admission, eddy
-// routing, result collection) goes through a RoutingSink, so the
-// single-query Executor and the MultiQueryExecutor run bit-for-bit the
-// same engine: same warm-up boundary, same batched/wall paths, same
-// telemetry (spans, profiler phases, samples, backpressure, OOM), same
-// queue-memory accounting.
+// → memory-accounting loop serving every executor. Every arrival moves
+// through it in a TupleBatch (warm-up and batch size 1 drain batches of
+// one); the only mode difference is where a routed segment ends — one
+// same-stream run in virtual mode, the whole batch under the sequence
+// horizon in wall mode. The loop is query-agnostic — everything
+// query-specific (WHERE admission, eddy routing, result collection) goes
+// through a RoutingSink, so the single-query Executor and the
+// MultiQueryExecutor run bit-for-bit the same engine: same warm-up
+// boundary, same segments, same telemetry (spans, profiler phases,
+// samples, backpressure, OOM), same queue-memory accounting.
 //
 // PipelineRuntime bundles the engine-neutral run state both executors
 // used to duplicate (virtual clock, cost meter, memory tracker, fan-out
-// and overlap pools, resolved telemetry instruments).
+// pool, resolved telemetry instruments).
 #pragma once
 
 #include <cstdint>
@@ -37,14 +40,12 @@ enum class EngineMode : std::uint8_t {
   /// strictly phased drain → expiry → insert → route, bit-for-bit
   /// deterministic for a given batch size.
   kVirtual = 0,
-  /// Wall-clock mode: same modelled costs and virtual clock, but the hot
-  /// path is organised for hardware speed — whole mixed-stream batches are
-  /// inserted up front and routed as one partition under a per-root
-  /// sequence horizon (BatchVisibility), the grouped probe kernel runs
-  /// with software prefetch, and next-batch drain overlaps current-batch
-  /// routing on a worker thread. Join results match virtual mode exactly;
-  /// modelled probe-work counters may exceed it (the horizon filters
-  /// matches after the comparisons were charged).
+  /// Wall-clock mode: same loop, modelled costs and virtual clock, but
+  /// each post-warm-up batch is inserted whole and routed as one
+  /// mixed-stream segment under a per-root sequence horizon
+  /// (BatchVisibility) instead of run by run. Join results match virtual
+  /// mode exactly; modelled probe-work counters may exceed it (the horizon
+  /// filters matches after the comparisons were charged).
   kWall,
 };
 
@@ -74,37 +75,26 @@ class RoutingSink {
 
   /// WHERE admission for `arrival`, charging selection comparisons to
   /// `meter`. Returns true when the arrival enters the pipeline (any query
-  /// accepts it). With `detached_accepts` null the sink records the accept
-  /// set in its live batch state (the slot is the current batch's size);
-  /// the wall overlap worker passes its own vector instead — the driver
-  /// adopts it later via adopt_accepts. Must be thread-safe in the
-  /// detached form (const query state only).
-  virtual bool admit(const Tuple& arrival, CostMeter& meter,
-                     std::vector<std::uint64_t>* detached_accepts) = 0;
+  /// accepts it); the sink records the accept set for the batch slot the
+  /// arrival will take (the current batch's size).
+  virtual bool admit(const Tuple& arrival, CostMeter& meter) = 0;
 
   /// A new admission batch starts: forget the previous batch's accepts.
-  /// Called before every drain (and before each tuple-at-a-time admit).
+  /// Called before every drain.
   virtual void begin_batch() {}
-
-  /// Adopt the accept sets a detached drain recorded (wall overlap).
-  virtual void adopt_accepts(std::vector<std::uint64_t>& accepts) {
-    (void)accepts;
-  }
-
-  /// Route one admitted, inserted arrival (tuple-at-a-time path).
-  /// `measured` is true after the warm-up boundary (row collection).
-  virtual std::uint64_t route_one(const Tuple* stored, bool measured) = 0;
 
   /// Route the admitted batch slots [first, first + n): `stored[j]` /
   /// `done[j]` describe slot first + j. With `visibility` null this is a
-  /// same-stream run (batched virtual mode); set, it is the whole
-  /// mixed-stream batch under the wall-mode sequence horizon. `span_root`,
-  /// when not kNoSpanRoot, is the index in [0, n) carrying the active
-  /// trace span. Returns complete results produced.
+  /// same-stream run (virtual mode); set, it is the whole mixed-stream
+  /// batch under the wall-mode sequence horizon. `span_root`, when not
+  /// kNoSpanRoot, is the index in [0, n) carrying the active trace span.
+  /// `measured` is true after the warm-up boundary: only measured results
+  /// are collected as rows (on_result sees every result). Returns complete
+  /// results produced.
   virtual std::uint64_t route_batch(const Tuple* const* stored,
                                     const std::uint32_t* done,
                                     std::size_t first, std::size_t n,
-                                    std::size_t span_root,
+                                    std::size_t span_root, bool measured,
                                     const BatchVisibility* visibility) = 0;
 
   /// Append cumulative per-query outputs (multi-query sinks; the run loop
@@ -120,10 +110,9 @@ class RoutingSink {
 };
 
 /// Engine-neutral run state shared by every executor: clock, meter,
-/// memory, pools, and the telemetry instruments the run loop records into.
-/// Construction applies the engine-mode implications to `options` (fan-out
-/// pool for sharded stems, wall prefetch/overlap) exactly as the
-/// single-query executor always has.
+/// memory, fan-out pool, and the telemetry instruments the run loop
+/// records into. Construction hands sharded stems the fan-out pool
+/// through `options`.
 class PipelineRuntime {
  public:
   explicit PipelineRuntime(ExecutorOptions& options);
@@ -137,11 +126,6 @@ class PipelineRuntime {
   /// Shared fan-out pool, created only when the stems are sharded.
   /// Declared before any stems so it outlives every probe path.
   std::unique_ptr<ThreadPool> pool;
-  /// Single-thread pool for wall-mode drain/route overlap (double
-  /// buffering, not fan-out — deliberately separate from `pool` so overlap
-  /// drains never queue behind sharded probe fan-outs). Null unless
-  /// engine == kWall and overlap is enabled.
-  std::unique_ptr<ThreadPool> overlap_pool;
   /// Observability handles, resolved once at construction (null detached).
   telemetry::Profiler* profiler = nullptr;
   telemetry::Histogram* span_latency_hist = nullptr;  ///< span.latency_us
@@ -161,7 +145,8 @@ class PipelineRuntime {
 /// The unified run loop: consume `source` until the measured duration
 /// elapses, the source is exhausted, or the memory budget is exceeded.
 /// `stems` is indexed by StreamId; all query-specific work goes through
-/// `sink`. Single-query behavior is bit-for-bit the legacy Executor::run.
+/// `sink`. Each iteration drains one batch, expires every window once, then
+/// inserts and routes the batch segment by segment.
 RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
                        const std::vector<std::unique_ptr<StemOperator>>& stems,
                        RoutingSink& sink, TupleSource& source);

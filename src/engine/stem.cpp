@@ -54,7 +54,6 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
             spos, options_.pool, meter_, memory_);
         sharded_index_ = idx.get();
         index_ = std::move(idx);
-        if (options_.probe_prefetch) sharded_index_->set_prefetch(true);
         if (telemetry_ != nullptr) {
           sharded_index_->bind_telemetry(
               telemetry_, "stem." + std::to_string(stream_) + ".index",
@@ -65,7 +64,6 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
             layout_.jas, std::move(ic), std::move(mapper), meter_, memory_);
         bit_index_ = idx.get();
         index_ = std::move(idx);
-        if (options_.probe_prefetch) bit_index_->set_prefetch(true);
         if (telemetry_ != nullptr) {
           bit_index_->bind_telemetry(
               telemetry_, "stem." + std::to_string(stream_) + ".index");
@@ -197,8 +195,7 @@ void StemOperator::insert_batch(const Tuple* arrivals, std::size_t n,
     stored.push_back(&window_store_.back());
   }
   if (bit_index_ != nullptr) {
-    // Batched kernel: destination slots precomputed (and, in wall mode,
-    // prefetched) across the run. Equivalent to per-tuple insert().
+    // Batched kernel: equivalent to per-tuple insert(), one memory sync.
     bit_index_->insert_batch(stored.data() + first, n);
   } else {
     for (std::size_t i = 0; i < n; ++i) index_->insert(stored[first + i]);
@@ -209,8 +206,8 @@ void StemOperator::insert_batch(const Tuple* arrivals, std::size_t n,
 void StemOperator::expire(TimeMicros now) {
   const TimeMicros horizon = now - window_;
   if (bit_index_ != nullptr) {
-    // The expiring run is the window's ts-ordered prefix; collecting it
-    // first lets the batched erase walk prefetch across tuples.
+    // The expiring run is the window's ts-ordered prefix; the batched
+    // erase takes it in one call with one memory sync.
     expiry_scratch_.clear();
     for (const Tuple& t : window_store_) {
       if (t.ts >= horizon) break;

@@ -58,10 +58,6 @@ struct StemOptions {
   /// Fan-out pool for probes that leave the sharding attribute unbound
   /// (typically owned by the executor); null runs fan-outs serially.
   ThreadPool* pool = nullptr;
-  /// Bit-address backends: enable software prefetch of directory slots in
-  /// the grouped probe kernel (wall-mode executors turn this on). A pure
-  /// hardware hint — modelled costs and probe results are identical.
-  bool probe_prefetch = false;
   /// Queries sharing this state (multi-query executors; bit-address
   /// backends only). Above 1 the STeM keeps one assessor per
   /// (query, shard) cell — set_active_query() attributes each probe to the

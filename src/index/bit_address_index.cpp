@@ -128,38 +128,16 @@ void BitAddressIndex::erase(const Tuple* t) {
 
 void BitAddressIndex::insert_batch(const Tuple* const* tuples,
                                    std::size_t n) {
-  // Destination addresses up front, uncharged (the mapper is pure — the
-  // bulk_load() precedent); the per-tuple loop below replays the hash
-  // charges in insert()'s exact order. The precomputed ids are what makes
-  // the cross-tuple slot prefetch possible.
-  SmallVector<BucketId, 64> ids;
-  SmallVector<std::uint64_t, 64> tags;
+  // Bucket ids are computed uncharged (the mapper is pure — the bulk_load()
+  // precedent) and the per-tuple loop replays insert()'s hash charges in
+  // its exact order; the charge count per tuple is computed once.
+  const int hash_charges = indexed_attr_count();
   for (std::size_t i = 0; i < n; ++i) {
-    ids.push_back(bucket_of_uncharged(*tuples[i]));
-    tags.push_back(tuple_tag(*tuples[i]));
-  }
-  if (prefetch_) {
-    for (std::size_t j = 0; j < kPrefetchAhead && j < n; ++j) {
-      buckets_.prefetch_write(ids[j]);
-    }
-  }
-  const int hash_charges = [&] {
-    int c = 0;
-    for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-      if (config_.bits(pos) != 0) ++c;
-    }
-    return c;
-  }();
-  for (std::size_t i = 0; i < n; ++i) {
-    // A directory grow mid-batch relocates every slot; the stale prefetches
-    // in flight are harmless hints and the next iterations re-warm.
-    if (prefetch_ && i + kPrefetchAhead < n) {
-      buckets_.prefetch_write(ids[i + kPrefetchAhead]);
-    }
     if (meter_ != nullptr) {
       for (int h = 0; h < hash_charges; ++h) meter_->charge_hash();
     }
-    const std::size_t chain = buckets_.insert(ids[i], tuples[i], tags[i]);
+    const std::size_t chain = buckets_.insert(
+        bucket_of_uncharged(*tuples[i]), tuples[i], tuple_tag(*tuples[i]));
     ++size_;
     if (chain_hist_ != nullptr) {
       chain_hist_->observe(static_cast<double>(chain));
@@ -170,34 +148,24 @@ void BitAddressIndex::insert_batch(const Tuple* const* tuples,
 }
 
 void BitAddressIndex::erase_batch(const Tuple* const* tuples, std::size_t n) {
-  SmallVector<BucketId, 64> ids;
+  const int hash_charges = indexed_attr_count();
   for (std::size_t i = 0; i < n; ++i) {
-    ids.push_back(bucket_of_uncharged(*tuples[i]));
-  }
-  if (prefetch_) {
-    for (std::size_t j = 0; j < kPrefetchAhead && j < n; ++j) {
-      buckets_.prefetch_write(ids[j]);
-    }
-  }
-  const int hash_charges = [&] {
-    int c = 0;
-    for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-      if (config_.bits(pos) != 0) ++c;
-    }
-    return c;
-  }();
-  for (std::size_t i = 0; i < n; ++i) {
-    if (prefetch_ && i + kPrefetchAhead < n) {
-      buckets_.prefetch_write(ids[i + kPrefetchAhead]);
-    }
     if (meter_ != nullptr) {
       for (int h = 0; h < hash_charges; ++h) meter_->charge_hash();
     }
-    if (!buckets_.erase(ids[i], tuples[i])) continue;
+    if (!buckets_.erase(bucket_of_uncharged(*tuples[i]), tuples[i])) continue;
     --size_;
     if (meter_ != nullptr) meter_->charge_delete();
   }
   sync_memory();
+}
+
+int BitAddressIndex::indexed_attr_count() const {
+  int c = 0;
+  for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
+    if (config_.bits(pos) != 0) ++c;
+  }
+  return c;
 }
 
 BitAddressIndex::ProbeLayout BitAddressIndex::layout_for(const ProbeKey& key) {
@@ -377,14 +345,14 @@ void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
     group_of.push_back(it->second);
   }
 
-  // Precompute every key's fixed bucket-id bits up front, uncharged — the
-  // mapper is pure (the bulk_load() precedent); the per-key pass below
-  // charges the same N_{A,ap} hashes in the same batch order. Knowing each
-  // key's first bucket address ahead of time is what lets the kernel
-  // prefetch across keys.
-  SmallVector<BucketId, 64> fixed_of;
+  // Per-key pass, in batch order: bound-value mapper hashes, bucket visits
+  // and comparisons are performed and charged exactly as n single probes.
   for (std::size_t i = 0; i < n; ++i) {
+    const Group& grp = groups[group_of[i]];
     const ProbeKey& key = keys[i];
+    ProbeStats& st = stats[i];
+    st = ProbeStats{};
+    std::vector<const Tuple*>& out = outs[i];
     BucketId fixed = 0;
     for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
       const int bits = config_.bits(pos);
@@ -394,79 +362,13 @@ void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
       fixed |= mapper_.map(pos, key.values[pos], bits)
                << config_.shift_of(pos);
     }
-    fixed_of.push_back(fixed);
-  }
 
-  // A probe's first bucket visit is always at its fixed bits (the w == 0
-  // wildcard combination is zero), so warming fixed_of[j] covers key j's
-  // first directory access. Filter-path keys scan the directory
-  // sequentially and need no warming.
-  const auto prefetch_key = [&](std::size_t j) {
-    if (j >= n) return;
-    const Group& g = groups[group_of[j]];
-    if (g.wildcard_bits == 0 || g.enumerate_path) {
-      buckets_.prefetch(fixed_of[j]);
-    }
-  };
-  // Near stage of the two-stage pipeline, for fully-bound keys: by now the
-  // slot line is in cache (warmed kPrefetchFar - kPrefetchAhead keys ago),
-  // so the bucket's entries can be read for free and the tag-matching
-  // tuples the probe is about to dereference — the second dependent miss —
-  // prefetched in turn. Reads only, nothing charged: the charged compare
-  // pass below re-reads the same cached lines. Partially-bound keys skip
-  // this stage: without the tag filter every entry would be prefetched,
-  // and the extra find() per key costs more than untargeted hints return.
-  // The stage only engages at all when buckets are deep enough
-  // (kDeepPrefetchMinChain mean entries) for the prefetched dereferences
-  // to amortise its per-key find: on 1-2-entry buckets the out-of-order
-  // window already overlaps the loads and the stage is pure overhead.
-  const bool deep_prefetch =
-      prefetch_ && !buckets_.empty() &&
-      size_ >= kDeepPrefetchMinChain * buckets_.size();
-  const auto prefetch_tuples = [&](std::size_t j) {
-    if (j >= n) return;
-    const Group& g = groups[group_of[j]];
-    if (g.wildcard_bits != 0 ||
-        static_cast<std::size_t>(keys[j].bound_count()) != jas_.size()) {
-      return;
-    }
-    const Bucket* bucket = buckets_.find(fixed_of[j]);
-    if (bucket == nullptr) return;
-    const std::uint64_t tag = key_tag(keys[j]);
-    for (const BucketEntry& e : *bucket) {
-      if (e.tag == tag) __builtin_prefetch(e.tuple, /*rw=*/0, /*locality=*/1);
-    }
-  };
-  if (prefetch_) {
-    for (std::size_t j = 0; j < kPrefetchFar && j < n; ++j) {
-      prefetch_key(j);
-    }
-    for (std::size_t j = 0; j < kPrefetchAhead && j < n; ++j) {
-      if (deep_prefetch) prefetch_tuples(j);
-    }
-  }
-
-  // Per-key pass, in batch order: bound-value mapper hashes, bucket visits
-  // and comparisons are performed and charged exactly as n single probes.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Group& grp = groups[group_of[i]];
-    const ProbeKey& key = keys[i];
-    ProbeStats& st = stats[i];
-    st = ProbeStats{};
-    std::vector<const Tuple*>& out = outs[i];
-    const BucketId fixed = fixed_of[i];
-
-    // The bound-value mapper hashes were performed in the pre-pass; charge
-    // them here, one call per bound indexed attribute, preserving probe()'s
+    // One hash charge per bound indexed attribute, preserving probe()'s
     // exact charge sequence (and floating-point accumulation order).
     if (meter_ != nullptr) {
       for (std::uint32_t h = 0; h < grp.bound_hashes; ++h) {
         meter_->charge_hash();  // N_{A,ap} · C_h
       }
-    }
-    if (prefetch_) {
-      prefetch_key(i + kPrefetchFar);
-      if (deep_prefetch) prefetch_tuples(i + kPrefetchAhead);
     }
 
     auto scan_bucket = [&](const Bucket& bucket) {
@@ -510,9 +412,6 @@ void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
       if (!grp.combos.empty()) {
         const std::size_t m = grp.combos.size();
         for (std::size_t j = 0; j < m; ++j) {
-          if (prefetch_ && j + kPrefetchAhead < m) {
-            buckets_.prefetch(fixed | grp.combos[j + kPrefetchAhead]);
-          }
           if (meter_ != nullptr) meter_->charge_bucket_visit();
           ++st.buckets_visited;
           const Bucket* bucket = buckets_.find(fixed | grp.combos[j]);
@@ -520,8 +419,7 @@ void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
         }
       } else {
         // Lazy enumeration (group wider than kComboMaterializeCap): same w
-        // order as probe(). The prefetch target recomputes the combo a few
-        // steps ahead — a handful of cycles against a likely cache miss.
+        // order as probe().
         const auto combo_at = [&grp](std::uint64_t w) {
           BucketId id = 0;
           for (std::size_t b = 0; b < grp.free_positions.size(); ++b) {
@@ -530,9 +428,6 @@ void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
           return id;
         };
         for (std::uint64_t w = 0; w < grp.enum_count; ++w) {
-          if (prefetch_ && w + kPrefetchAhead < grp.enum_count) {
-            buckets_.prefetch(fixed | combo_at(w + kPrefetchAhead));
-          }
           if (meter_ != nullptr) meter_->charge_bucket_visit();
           ++st.buckets_visited;
           const Bucket* bucket = buckets_.find(fixed | combo_at(w));

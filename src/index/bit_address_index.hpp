@@ -50,17 +50,13 @@ class BitAddressIndex final : public TupleIndex {
   void erase(const Tuple* t) override;
 
   /// Insert `n` tuples, equivalent to n insert() calls in order (same
-  /// charges, same telemetry, same directory state). Bucket ids and value
-  /// tags are precomputed up front (uncharged — the mapper is pure), which
-  /// with prefetch enabled lets the kernel warm each tuple's destination
-  /// slot a few inserts ahead: sliding-window churn writes to hash-random
-  /// slots, so the slot line is a guaranteed cache miss the prefetch hides.
+  /// charges, same telemetry, same directory state), with one memory sync
+  /// for the batch.
   void insert_batch(const Tuple* const* tuples, std::size_t n);
 
-  /// Erase `n` tuples, equivalent to n erase() calls in order. Same
-  /// precompute-and-prefetch structure as insert_batch — window expiry
-  /// erases a run of the oldest tuples whose bucket slots are as
-  /// hash-random as the inserts that created them.
+  /// Erase `n` tuples, equivalent to n erase() calls in order, with one
+  /// memory sync for the batch (window expiry erases a run of the oldest
+  /// tuples at once).
   void erase_batch(const Tuple* const* tuples, std::size_t n);
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
@@ -68,23 +64,11 @@ class BitAddressIndex final : public TupleIndex {
   /// fixed-bit layout, enumerate-vs-filter strategy, and the wildcard bit
   /// combinations — is computed once per distinct mask (a mask→group hash,
   /// so adversarial mask mixes stay O(n)) and shared across the batch.
-  /// Bucket addresses for the batch are precomputed up front (uncharged —
-  /// the mapper is pure, mirroring bulk_load()), and with prefetch enabled
-  /// the kernel issues software prefetches a few bucket visits ahead so
-  /// directory cache misses overlap. Per-key work (bound-value mapper
-  /// hashes, bucket visits, comparisons) still runs and is charged per key
-  /// in batch order, so the result is exactly equivalent to n single
-  /// probe() calls.
+  /// Per-key work (bound-value mapper hashes, bucket visits, comparisons)
+  /// still runs and is charged per key in batch order, so the result is
+  /// exactly equivalent to n single probe() calls.
   void probe_batch(const ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, ProbeStats* stats) override;
-
-  /// Enable software prefetch in the batched kernels (wall mode):
-  /// directory slots ahead of the probe / insert / erase walks, plus —
-  /// for fully-bound probes — the tag-matching tuples a probe is about to
-  /// dereference. Off by default; a pure hardware hint — modelled costs,
-  /// results and telemetry are identical either way.
-  void set_prefetch(bool on) { prefetch_ = on; }
-  bool prefetch_enabled() const { return prefetch_; }
 
   /// Range probe (paper §II: join expressions may be <, >, >=, <=): each
   /// bound attribute carries an inclusive interval. Under the *range*
@@ -161,19 +145,6 @@ class BitAddressIndex final : public TupleIndex {
   /// single-key probe(), so a wide-wildcard probe in a large directory
   /// cannot allocate more in the batched path than the unbatched one.
   static constexpr std::uint64_t kComboMaterializeCap = 1024;
-  /// How many bucket visits ahead the batched kernels prefetch directory
-  /// slots (and, in probe_batch's near stage, matching tuples).
-  static constexpr std::size_t kPrefetchAhead = 4;
-  /// Far-stage distance of probe_batch's two-stage pipeline: slots are
-  /// warmed this many keys ahead, so by the time a key is kPrefetchAhead
-  /// away its slot line is present and the tag-matching tuples it points
-  /// at can be prefetched in turn (two dependent misses, both hidden).
-  static constexpr std::size_t kPrefetchFar = 2 * kPrefetchAhead;
-  /// probe_batch's near (tuple) stage engages only when the directory's
-  /// mean bucket depth reaches this many entries: each deep step pays a
-  /// redundant (cache-warm) find() per key, which only amortises when a
-  /// key dereferences several tuples.
-  static constexpr std::size_t kDeepPrefetchMinChain = 4;
 
   /// Probe layout: the fixed bits contributed by bound attributes and the
   /// list of wildcard chunks to enumerate.
@@ -184,8 +155,11 @@ class BitAddressIndex final : public TupleIndex {
   };
 
   ProbeLayout layout_for(const ProbeKey& key);
-  /// bucket_of without meter charges (migration precompute, invariants).
+  /// bucket_of without meter charges (migration precompute, invariants,
+  /// batched insert/erase).
   BucketId bucket_of_uncharged(const Tuple& t) const;
+  /// Indexed attributes (bits > 0): the hashes bucket_of charges.
+  int indexed_attr_count() const;
   /// Hash tag over a stored tuple's JAS values; fully-bound probes compare
   /// this against the probe key's tag before dereferencing the tuple.
   std::uint64_t tuple_tag(const Tuple& t) const;
@@ -202,7 +176,6 @@ class BitAddressIndex final : public TupleIndex {
   BucketDirectory buckets_;
   std::size_t size_ = 0;
   std::size_t tracked_bytes_ = 0;
-  bool prefetch_ = false;  ///< software prefetch in batched kernels (wall mode)
   // Telemetry instruments (null when detached; see bind_telemetry).
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Histogram* wildcard_hist_ = nullptr;  ///< buckets enumerable/probe

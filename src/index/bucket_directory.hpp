@@ -113,22 +113,6 @@ class BucketDirectory {
     return true;
   }
 
-  /// Prefetch the slot a key's probe sequence starts at (wall-mode grouped
-  /// probes issue these a few bucket visits ahead so the cache misses of
-  /// consecutive find() calls overlap). A pure hardware hint: no charges,
-  /// no state change, and a no-op on an empty directory.
-  void prefetch(BucketId key) const {
-    if (slots_.empty()) return;
-    __builtin_prefetch(&slots_[home_slot(key)], /*rw=*/0, /*locality=*/1);
-  }
-
-  /// Prefetch for write: insert appends to (and erase shifts) the slot
-  /// line, so warming it in exclusive state saves the upgrade.
-  void prefetch_write(BucketId key) const {
-    if (slots_.empty()) return;
-    __builtin_prefetch(&slots_[home_slot(key)], /*rw=*/1, /*locality=*/1);
-  }
-
   /// The bucket stored under `key`, or null. Never returns empty buckets.
   const Bucket* find(BucketId key) const {
     const Slot* s = const_cast<BucketDirectory*>(this)->find_slot(key);

@@ -402,13 +402,6 @@ void ShardedBitIndex::clear() {
   size_ = 0;
 }
 
-void ShardedBitIndex::set_prefetch(bool on) {
-  for (auto& sp : shards_) {
-    MutexLock lk(sp->mu);
-    sp->index.set_prefetch(on);
-  }
-}
-
 ShardBalance ShardedBitIndex::balance() const {
   ShardBalance b;
   b.sizes.reserve(shards_.size());

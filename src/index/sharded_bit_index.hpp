@@ -105,11 +105,6 @@ class ShardedBitIndex final : public TupleIndex {
     return shards_[i]->index;
   }
 
-  /// Forward the wall-mode software-prefetch toggle to every shard (see
-  /// BitAddressIndex::set_prefetch). A pure hardware hint: modelled costs
-  /// and results are identical either way.
-  void set_prefetch(bool on);
-
   /// Rebuild every shard under `target`, one shard at a time through
   /// `migrator` (probes of other shards proceed between shard rebuilds).
   /// Charges the summed rebuild hashes to the wrapper's meter. No-op when

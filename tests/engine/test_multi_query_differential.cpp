@@ -90,7 +90,6 @@ ExecutorOptions grid_options(const GridPoint& gp, std::size_t num_attrs) {
   o.stem.shards = gp.shards;
   o.batch_size = gp.batch;
   o.engine = gp.engine;
-  o.wall_overlap_force = true;  // exercise the overlap handoff everywhere
   o.eddy.routing.kind = RoutingPolicyKind::kFixed;
   tuner::TunerOptions topts;
   topts.reassess_every = 120;

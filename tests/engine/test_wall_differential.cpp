@@ -3,7 +3,7 @@
 // cost-metered virtual pipeline — same join-result multiset, same final
 // tuner IC per state, same migration counts, and the same modelled insert
 // / delete / route counts — across wall batch {1, 64, 256} and shard
-// {1, 4} combinations, overlap on and off.
+// {1, 4} combinations.
 //
 // What is deliberately NOT compared: the probe-work counters (hashes,
 // compares, bucket visits) and the charged-time total. Wall mode inserts
@@ -103,8 +103,6 @@ struct RunConfig {
   EngineMode engine = EngineMode::kVirtual;
   std::size_t batch = 1;
   std::size_t shards = 1;
-  bool overlap = true;
-  bool prefetch = true;
 };
 
 Observed run_scenario(const Scenario& sc, const RunConfig& rc) {
@@ -112,8 +110,8 @@ Observed run_scenario(const Scenario& sc, const RunConfig& rc) {
       make_complete_join_query(sc.streams, seconds_to_micros(30.025));
   QuerySpec q = base_q;
   if (sc.with_selection) {
-    // Reject one domain value on stream 0 so the drain path (and the
-    // overlap worker's WHERE pass) does real selection work.
+    // Reject one domain value on stream 0 so the drain path does real
+    // selection work.
     q.set_selection(0, Selection({FilterPredicate{0, CompareOp::kNe, 2}}));
   }
   ExecutorOptions o;
@@ -122,12 +120,6 @@ Observed run_scenario(const Scenario& sc, const RunConfig& rc) {
   o.sample_every = seconds_to_micros(20);
   o.engine = rc.engine;
   o.batch_size = rc.batch;
-  o.wall_overlap = rc.overlap;
-  // The harness is about the concurrent handoff's semantics, so the worker
-  // must actually run even when CI lands on a single-core machine (where
-  // the executor would otherwise skip it as a pure pessimisation).
-  o.wall_overlap_force = true;
-  o.wall_probe_prefetch = rc.prefetch;
   o.stem.backend = IndexBackend::kAmri;
   o.stem.shards = rc.shards;
   o.eddy.routing.kind = RoutingPolicyKind::kFixed;
@@ -250,15 +242,12 @@ TEST(WallDifferential, ThreeStreamDiaDrift) {
   expect_wall_equivalent(sc);
 }
 
-// Wall-mode optimisation toggles must be semantics-free: prefetch off,
-// overlap off, and both off produce the identical observable run. Big
-// bursts (several times the batch size) keep the backlog non-empty after
-// every drain, so the overlap worker genuinely runs concurrently with
-// routing — under TSan this is the test that hunts data races on the
-// backlog / double-buffer handoff.
-TEST(WallDifferential, OverlapAndPrefetchTogglesAreSemanticsFree) {
+// Back-to-back full batches: bursts several times the batch size keep the
+// backlog non-empty after every drain, so consecutive wall batches are full
+// and mixed-stream, with a WHERE filter rejecting part of every drain.
+TEST(WallDifferential, BackToBackFullBatchesWithSelection) {
   Scenario sc;
-  sc.name = "wall-overlap-stress";
+  sc.name = "wall-back-to-back";
   sc.streams = 2;
   sc.tuples = 4800;
   sc.burst = 300;  // ~5 back-to-back batches of 64 per burst
@@ -266,33 +255,7 @@ TEST(WallDifferential, OverlapAndPrefetchTogglesAreSemanticsFree) {
   sc.domain = 7;
   sc.with_selection = true;
   sc.assessor = assessment::AssessorKind::kDia;
-
-  const RunConfig full{EngineMode::kWall, 64, 1, /*overlap=*/true,
-                       /*prefetch=*/true};
-  const Observed want = run_scenario(sc, full);
-  EXPECT_GT(want.outputs, 0u);
-  EXPECT_GT(want.arrivals_filtered, 0u)
-      << "selection must reject something or the worker's WHERE pass is "
-         "vacuous";
-
-  for (const RunConfig rc :
-       {RunConfig{EngineMode::kWall, 64, 1, false, true},
-        RunConfig{EngineMode::kWall, 64, 1, true, false},
-        RunConfig{EngineMode::kWall, 64, 1, false, false},
-        RunConfig{EngineMode::kWall, 64, 4, true, true}}) {
-    const Observed got = run_scenario(sc, rc);
-    const std::string tag = std::string("overlap=") +
-                            (rc.overlap ? "1" : "0") + " prefetch=" +
-                            (rc.prefetch ? "1" : "0") + " shards=" +
-                            std::to_string(rc.shards);
-    EXPECT_EQ(got.outputs, want.outputs) << tag;
-    EXPECT_EQ(got.results, want.results) << tag;
-    EXPECT_EQ(got.arrivals_filtered, want.arrivals_filtered) << tag;
-    if (rc.shards == 1) {
-      EXPECT_EQ(got.final_ics, want.final_ics) << tag;
-      EXPECT_EQ(got.migrations, want.migrations) << tag;
-    }
-  }
+  expect_wall_equivalent(sc);
 }
 
 }  // namespace

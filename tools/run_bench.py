@@ -45,8 +45,8 @@ SCHEMA = "amri-bench-v1"
 # d'etre), the assessment microbench (tuner hot path), the sharded-state
 # microbench (probe churn / fan-out / migration across shard counts), the
 # batched-pipeline microbench (probe_batch amortisation, batch x shards),
-# the wall-pipeline microbench (wall-clock engine mode: prefetch kernel
-# ablation plus end-to-end churn across engine/overlap/prefetch), the
+# the wall-pipeline microbench (end-to-end churn, virtual vs wall engine
+# mode at equal batch sizes), the
 # adversarial scenario matrix (every named scenario x guardrails off/on;
 # migrations, suppressions, end-state probe cost), and the multi-query
 # ablation (queries x shards x batch grid over shared states plus the
@@ -64,11 +64,10 @@ SCENARIO_EXTRA_ARGS = {"adversarial_suite": ["rate=80"],
                        "ablation_multiquery": ["max_queries=3"]}
 
 # google-benchmark encodes named args into the bench name ("BM_X/shards:4",
-# "BM_Y/engine:1/overlap:0/prefetch:1/batch:64").  Each matching arg is
-# lifted into a same-named queryable record field.
+# "BM_Y/engine:1/batch:64").  Each matching arg is lifted into a same-named
+# queryable record field.
 _ARG_RES = [(field, re.compile(rf"/{field}:(\d+)(?:/|$)"))
-            for field in ("queries", "shards", "batch", "engine", "overlap",
-                          "prefetch")]
+            for field in ("queries", "shards", "batch", "engine")]
 
 
 def is_gbench(bench_name: str) -> bool:
@@ -117,10 +116,9 @@ def prefix_records(records: list, bench_name: str) -> list:
 
 
 def attach_shards(records: list) -> list:
-    """Lift name-encoded bench arguments (shard count, batch size, and the
-    wall-mode engine/overlap/prefetch axes) into queryable record fields,
-    so trajectory tooling can compare configurations without name
-    parsing."""
+    """Lift name-encoded bench arguments (query count, shard count, batch
+    size and the engine mode) into queryable record fields, so trajectory
+    tooling can compare configurations without name parsing."""
     out = []
     for rec in records:
         lifted = rec
@@ -222,23 +220,17 @@ def self_test() -> int:
               "batch-only name lifts batch without inventing shards")
         check("batch" not in batched[2], "non-batched record untouched")
 
-        # Wall-pipeline axes: engine/overlap/prefetch toggles become fields
-        # alongside batch (the micro_wall_pipeline churn sweep emits
-        # "engine:E/overlap:O/prefetch:P/batch:N" names).
+        # Wall-pipeline axis: the micro_wall_pipeline churn sweep emits
+        # "engine:E/batch:N" names; the engine mode becomes a field
+        # alongside batch.
         wall_raw = [
-            {"bench": "BM_WallPipeline_EngineChurn/engine:1/overlap:0/"
-                      "prefetch:1/batch:64",
+            {"bench": "BM_WallPipeline_EngineChurn/engine:1/batch:64",
              "metric": "items_per_second", "value": 70.0},
-            {"bench": "BM_WallPipeline_KernelPrefetch/prefetch:0/batch:256",
-             "metric": "real_time_ns", "value": 80.0},
         ]
         wall = attach_shards(prefix_records(wall_raw, "micro_wall_pipeline"))
-        check(wall[0].get("engine") == 1 and wall[0].get("overlap") == 0
-              and wall[0].get("prefetch") == 1 and wall[0].get("batch") == 64,
-              "engine/overlap/prefetch/batch all lifted from a churn name")
-        check(wall[1].get("prefetch") == 0 and wall[1].get("batch") == 256
-              and "engine" not in wall[1] and "overlap" not in wall[1],
-              "kernel-ablation name lifts only its own axes")
+        check(wall[0].get("engine") == 1 and wall[0].get("batch") == 64
+              and "shards" not in wall[0],
+              "engine and batch both lifted from a churn name")
 
         # Multi-query axis: the ablation_multiquery grid emits
         # "queries:Q/shards:S/batch:B" names; the comparison records carry
