@@ -3,8 +3,8 @@
 //   * probe churn (the steady state: window rotation + probes): batch = 1
 //     is the tuple-at-a-time baseline (single probe() calls); larger
 //     batches go through probe_batch, which pays the per-probe dispatch
-//     work — shard fan-out submit/wait, per-shard locking, access-pattern
-//     layout — once per batch instead of once per tuple. The modelled cost
+//     work — per-shard locking, access-pattern layout — once per batch
+//     instead of once per tuple. The modelled cost
 //     is identical by construction (the differential tests assert it);
 //     what this measures is the *wall-clock* amortisation;
 //   * grouped wildcard enumeration (unsharded): keys sharing an access
@@ -18,7 +18,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/sharded_bit_index.hpp"
 
@@ -56,17 +55,15 @@ JoinAttributeSet jas2() { return JoinAttributeSet({0, 1}); }
 /// the worst case for per-probe dispatch). All index bits sit on the
 /// probed attribute, so the per-key index work is one small bucket and the
 /// dispatch overhead dominates; batch = 1 runs the plain probe() loop,
-/// batch > 1 runs one probe_batch (one ThreadPool task per shard per
-/// batch). items_per_second counts tuples, so runs are comparable across
-/// batch sizes.
+/// batch > 1 runs one probe_batch (each shard visited once per batch).
+/// items_per_second counts tuples, so runs are comparable across batch
+/// sizes.
 void BM_BatchPipeline_ProbeChurn(benchmark::State& state) {
   const auto batch = static_cast<std::size_t>(state.range(0));
   const auto shards = static_cast<std::size_t>(state.range(1));
   const auto tuples = make_tuples(2 * kWindow, 7);
-  ThreadPool pool;
   ShardedBitIndex idx(jas2(), IndexConfig({0, 17}), BitMapper::hashing(2),
-                      shards, /*shard_pos=*/0,
-                      shards > 1 ? &pool : nullptr);
+                      shards, /*shard_pos=*/0);
   for (std::size_t i = 0; i < kWindow; ++i) idx.insert(tuples[i].get());
 
   Rng rng(11);

@@ -14,7 +14,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "index/access_module_set.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/ordered_index.hpp"
@@ -386,18 +385,16 @@ void BM_BitAddress_BulkLoad(benchmark::State& state) {
   std::vector<const Tuple*> ptrs;
   ptrs.reserve(tuples.size());
   for (const auto& t : tuples) ptrs.push_back(t.get());
-  const auto threads = static_cast<std::size_t>(state.range(0));
-  ThreadPool pool(threads == 0 ? 1 : threads);
   for (auto _ : state) {
     BitAddressIndex idx(jas3(), IndexConfig({5, 5, 4}),
                         BitMapper::hashing(3));
-    idx.bulk_load(ptrs, threads == 0 ? nullptr : &pool);
+    idx.bulk_load(ptrs);
     benchmark::DoNotOptimize(idx.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ptrs.size()));
 }
-BENCHMARK(BM_BitAddress_BulkLoad)->Arg(0)->Arg(2)->Arg(4);
+BENCHMARK(BM_BitAddress_BulkLoad);
 
 void BM_AccessModules_Retune(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 11);

@@ -5,12 +5,13 @@
 //     that attribute, so a probe touches ~1/N of a 100k-tuple window even
 //     when the IC spends its bits elsewhere — a wall-clock win that needs
 //     no extra cores;
-//   * fan-out probes (sharding attribute unbound): every shard is probed;
-//     with a thread pool the shards run in parallel, so the speedup tracks
-//     the machine's core count (flat on a single-core host);
+//   * fan-out probes (sharding attribute unbound): every shard is probed,
+//     one after another on the calling thread, so the whole window is
+//     compared whatever N is and the cost over N = 1 is the per-shard
+//     overhead;
 //   * shard-by-shard migration: the total rebuild work is unchanged, but
-//     the largest single pause — what a concurrent probe can block
-//     behind — shrinks to ~1/N of the window (max_shard_hashes counter).
+//     the largest single-shard rebuild shrinks to ~1/N of the window
+//     (max_shard_hashes counter).
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -19,7 +20,6 @@
 #include <vector>
 
 #include "common/rng.hpp"
-#include "common/thread_pool.hpp"
 #include "index/index_migrator.hpp"
 #include "index/sharded_bit_index.hpp"
 
@@ -56,9 +56,9 @@ JoinAttributeSet jas2() { return JoinAttributeSet({0, 1}); }
 /// help from the IC — pruning can come only from the shard route.
 IndexConfig skewed_config() { return IndexConfig({0, 6}); }
 
-ShardedBitIndex make_index(std::size_t shards, ThreadPool* pool) {
+ShardedBitIndex make_index(std::size_t shards) {
   return ShardedBitIndex(jas2(), skewed_config(), BitMapper::hashing(2),
-                         shards, /*shard_pos=*/0, pool);
+                         shards, /*shard_pos=*/0);
 }
 
 /// Steady-state probe churn on a full 100k-tuple window: each iteration
@@ -69,7 +69,7 @@ ShardedBitIndex make_index(std::size_t shards, ThreadPool* pool) {
 void BM_ShardedStem_ProbeChurn(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto tuples = make_tuples(2 * kWindow, 7);
-  ShardedBitIndex idx = make_index(shards, nullptr);
+  ShardedBitIndex idx = make_index(shards);
   for (std::size_t i = 0; i < kWindow; ++i) idx.insert(tuples[i].get());
 
   Rng rng(11);
@@ -104,14 +104,12 @@ BENCHMARK(BM_ShardedStem_ProbeChurn)
     ->Unit(benchmark::kMicrosecond);
 
 /// Fan-out probes: the sharding attribute stays unbound, so every shard is
-/// probed and the full window is compared regardless of N. The work runs on
-/// a thread pool; wall-clock speedup tracks the available cores (a
-/// single-core host sees parity, the cost-parity property of the wrapper).
+/// probed in turn and the full window is compared regardless of N; the
+/// difference from N = 1 is the per-shard lock and merge overhead.
 void BM_ShardedStem_FanoutProbe(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto tuples = make_tuples(kWindow, 7);
-  ThreadPool pool;  // hardware_concurrency workers
-  ShardedBitIndex idx = make_index(shards, &pool);
+  ShardedBitIndex idx = make_index(shards);
   for (const auto& t : tuples) idx.insert(t.get());
 
   Rng rng(13);
@@ -141,7 +139,7 @@ BENCHMARK(BM_ShardedStem_FanoutProbe)
 void BM_ShardedStem_Migration(benchmark::State& state) {
   const auto shards = static_cast<std::size_t>(state.range(0));
   const auto tuples = make_tuples(kWindow, 7);
-  ShardedBitIndex idx = make_index(shards, nullptr);
+  ShardedBitIndex idx = make_index(shards);
   for (const auto& t : tuples) idx.insert(t.get());
 
   const IndexMigrator migrator;

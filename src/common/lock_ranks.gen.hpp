@@ -12,13 +12,11 @@ namespace amri::lockrank {
 inline constexpr int kMetricsRegistryMu = 10;
 // ShardedBitIndex::Shard::mu
 inline constexpr int kShardedBitIndexShardMu = 20;
-// ThreadPool::mu_
-inline constexpr int kThreadPoolMu = 30;
 // IndexMigrator::mu_
-inline constexpr int kIndexMigratorMu = 40;
+inline constexpr int kIndexMigratorMu = 30;
 // EventLog::mu_
-inline constexpr int kEventLogMu = 50;
+inline constexpr int kEventLogMu = 40;
 // Histogram::mu_
-inline constexpr int kHistogramMu = 60;
+inline constexpr int kHistogramMu = 50;
 
 }  // namespace amri::lockrank

@@ -9,8 +9,8 @@
 //
 // libstdc++'s std::mutex / std::lock_guard are not annotated, so the
 // analysis cannot see through them. Mutex-bearing classes therefore use the
-// annotated wrappers below (amri::Mutex, amri::MutexLock, amri::UniqueLock
-// with std::condition_variable_any) instead of the raw std types.
+// annotated wrappers below (amri::Mutex, amri::MutexLock) instead of the
+// raw std types.
 //
 // Lock-rank cross-check (AMRI103): tools/amri_ast_lint.py extracts the
 // static Mutex acquisition graph and emits a total order into
@@ -21,7 +21,6 @@
 // graph and real execution are checked against each other.
 #pragma once
 
-#include <condition_variable>
 #include <mutex>
 
 #if defined(AMRI_LOCK_RANK_CHECK)
@@ -117,7 +116,7 @@ inline void note_release(int rank) {
   if (rank <= 0) return;
   HeldRanks& s = held();
   // Remove the most recent occurrence; releases are not required to be
-  // LIFO (UniqueLock can outlive a later MutexLock in theory).
+  // LIFO (Mutex::unlock can be called directly, out of scope order).
   for (int i = (s.depth <= HeldRanks::kMaxHeld ? s.depth : HeldRanks::kMaxHeld)
                - 1;
        i >= 0; --i) {
@@ -189,42 +188,5 @@ class AMRI_SCOPED_CAPABILITY MutexLock {
  private:
   Mutex& mu_;
 };
-
-/// Annotated BasicLockable lock for use with std::condition_variable_any.
-/// Unlike MutexLock it can be released/reacquired by a wait; the analysis
-/// models the capability as held for the lock's whole scope, which matches
-/// the state on every path the caller can observe.
-class AMRI_SCOPED_CAPABILITY UniqueLock {
- public:
-  explicit UniqueLock(Mutex& mu) AMRI_ACQUIRE(mu) : mu_(mu) {
-    mu_.lock();
-    held_ = true;
-  }
-  ~UniqueLock() AMRI_RELEASE() {
-    if (held_) mu_.unlock();
-  }
-
-  UniqueLock(const UniqueLock&) = delete;
-  UniqueLock& operator=(const UniqueLock&) = delete;
-
-  // BasicLockable interface, used by condition_variable_any::wait which
-  // releases and reacquires around the block. Suppressed from analysis:
-  // the wait's release/reacquire pair is invisible to callers.
-  void lock() AMRI_NO_THREAD_SAFETY_ANALYSIS {
-    mu_.lock();
-    held_ = true;
-  }
-  void unlock() AMRI_NO_THREAD_SAFETY_ANALYSIS {
-    held_ = false;
-    mu_.unlock();
-  }
-
- private:
-  Mutex& mu_;
-  bool held_ = false;
-};
-
-/// Condition variable usable with the annotated UniqueLock.
-using CondVar = std::condition_variable_any;
 
 }  // namespace amri

@@ -56,20 +56,26 @@ struct ExecutorOptions {
   /// or truncation, carrying both the virtual clock and steady-clock
   /// nanoseconds. 0 (the default) disables sampling. Requires `telemetry`.
   std::size_t trace_sample = 0;
-  /// Worker threads for sharded fan-out probes (stem.shards > 1 only).
-  /// 0 picks hardware_concurrency; ignored when the stems are unsharded.
+  /// Ignored: sharded states run every shard on the calling thread. Kept
+  /// only because the end-to-end benchmark runner still sets and records
+  /// it.
   std::size_t fanout_threads = 0;
   /// Arrivals moved through the pipeline together (`--batch-size`): after
   /// warm-up the executor drains up to this many ready arrivals into a
   /// TupleBatch, expires every window once, then inserts and routes the
   /// batch segment by segment. Warm-up always drains batches of one, so 1
-  /// (the default) moves every arrival on its own. Larger batches keep the
-  /// modelled cost identical (every shared computation is still charged
-  /// once per tuple it serves) but amortise real dispatch work; the only
-  /// semantic drift is expiry timing — windows are expired at batch start,
-  /// so a tuple whose deadline falls inside a batch's virtual-time span
-  /// survives a few probes longer (see docs/architecture.md, "Batched
-  /// execution").
+  /// (the default) moves every arrival on its own. Larger batches amortise
+  /// real dispatch work and charge every shared computation once per tuple
+  /// it serves, but they are not semantics-free:
+  ///   * windows are expired at batch start, so a tuple whose deadline
+  ///     falls inside a batch's virtual-time span survives a few probes
+  ///     longer;
+  ///   * EddyRouter::route_batch consults the routing policy once per
+  ///     done-mask partition, where batch 1 consults it once per partial.
+  ///     Under kCostBased or kLottery routing a larger batch can therefore
+  ///     pick different routes, charge different costs and migrate
+  ///     differently; kFixed routing is unaffected.
+  /// docs/architecture.md, "Where exactness bends", lists every channel.
   std::size_t batch_size = 1;
   /// Execution mode (`--engine`): kVirtual routes each same-stream run of
   /// a batch as its own segment; kWall routes the whole post-warm-up batch
@@ -100,9 +106,8 @@ class Executor {
  private:
   const QuerySpec& query_;
   ExecutorOptions options_;
-  /// The shared run-loop state (clock/meter/memory/pool/instruments).
-  /// Constructed before stems_ — its construction finalises options_
-  /// (fan-out pool) and its pool must outlive every stem probe path.
+  /// The shared run-loop state (clock/meter/memory/instruments).
+  /// Constructed before stems_, which hold its meter and memory tracker.
   PipelineRuntime rt_;
   std::vector<std::unique_ptr<StemOperator>> stems_;
   std::unique_ptr<EddyRouter> eddy_;

@@ -12,16 +12,10 @@
 
 namespace amri::engine {
 
-PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
+PipelineRuntime::PipelineRuntime(const ExecutorOptions& options)
     : meter(&clock, options.costs), memory(options.memory_budget) {
   if (options.telemetry != nullptr) {
     options.telemetry->attach_clock(&clock);
-  }
-  if (options.stem.shards > 1) {
-    pool = std::make_unique<ThreadPool>(options.fanout_threads);
-    options.stem.pool = pool.get();
-  }
-  if (options.telemetry != nullptr) {
     auto& reg = options.telemetry->metrics();
     profiler = options.telemetry->profiler();
     if (profiler != nullptr) {
@@ -31,18 +25,6 @@ PipelineRuntime::PipelineRuntime(ExecutorOptions& options)
       span_latency_hist = &reg.histogram(
           "span.latency_us",
           telemetry::Histogram::exponential_bounds(0.5, 2.0, 22));
-    }
-    if (pool != nullptr) {
-      // The pool lives in the common layer and cannot depend on telemetry,
-      // so its generic hooks are bound to registry instruments here.
-      auto* wait_hist = &reg.histogram(
-          "pool.queue_wait_us",
-          telemetry::Histogram::exponential_bounds(0.1, 2.0, 20));
-      auto* contention = &reg.counter("pool.contention");
-      ThreadPool::Hooks hooks;
-      hooks.on_dequeue = [wait_hist](double us) { wait_hist->observe(us); };
-      hooks.on_contention = [contention] { contention->add(); };
-      pool->set_hooks(std::move(hooks));
     }
   }
 }

@@ -11,8 +11,8 @@
 // samples, backpressure, OOM), same queue-memory accounting.
 //
 // PipelineRuntime bundles the engine-neutral run state both executors
-// used to duplicate (virtual clock, cost meter, memory tracker, fan-out
-// pool, resolved telemetry instruments).
+// used to duplicate (virtual clock, cost meter, memory tracker, resolved
+// telemetry instruments).
 #pragma once
 
 #include <cstdint>
@@ -21,7 +21,6 @@
 
 #include "common/cost_meter.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/thread_pool.hpp"
 #include "common/tuple.hpp"
 #include "common/tuple_batch.hpp"
 #include "common/virtual_clock.hpp"
@@ -110,12 +109,10 @@ class RoutingSink {
 };
 
 /// Engine-neutral run state shared by every executor: clock, meter,
-/// memory, fan-out pool, and the telemetry instruments the run loop
-/// records into. Construction hands sharded stems the fan-out pool
-/// through `options`.
+/// memory, and the telemetry instruments the run loop records into.
 class PipelineRuntime {
  public:
-  explicit PipelineRuntime(ExecutorOptions& options);
+  explicit PipelineRuntime(const ExecutorOptions& options);
 
   PipelineRuntime(const PipelineRuntime&) = delete;
   PipelineRuntime& operator=(const PipelineRuntime&) = delete;
@@ -123,9 +120,6 @@ class PipelineRuntime {
   VirtualClock clock;
   CostMeter meter;
   MemoryTracker memory;
-  /// Shared fan-out pool, created only when the stems are sharded.
-  /// Declared before any stems so it outlives every probe path.
-  std::unique_ptr<ThreadPool> pool;
   /// Observability handles, resolved once at construction (null detached).
   telemetry::Profiler* profiler = nullptr;
   telemetry::Histogram* span_latency_hist = nullptr;  ///< span.latency_us

@@ -51,7 +51,7 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
             options_.shard_attr < n ? options_.shard_attr : 0;
         auto idx = std::make_unique<index::ShardedBitIndex>(
             layout_.jas, std::move(ic), std::move(mapper), options_.shards,
-            spos, options_.pool, meter_, memory_);
+            spos, meter_, memory_);
         sharded_index_ = idx.get();
         index_ = std::move(idx);
         if (telemetry_ != nullptr) {

@@ -14,7 +14,6 @@
 #include "assessment/assessor.hpp"
 #include "common/cost_meter.hpp"
 #include "common/memory_tracker.hpp"
-#include "common/thread_pool.hpp"
 #include "common/tuple.hpp"
 #include "engine/query.hpp"
 #include "index/access_module_set.hpp"
@@ -55,9 +54,6 @@ struct StemOptions {
   /// JAS position whose value routes tuples/probes to their shard
   /// (clamped to 0 when out of range).
   std::size_t shard_attr = 0;
-  /// Fan-out pool for probes that leave the sharding attribute unbound
-  /// (typically owned by the executor); null runs fan-outs serially.
-  ThreadPool* pool = nullptr;
   /// Queries sharing this state (multi-query executors; bit-address
   /// backends only). Above 1 the STeM keeps one assessor per
   /// (query, shard) cell — set_active_query() attributes each probe to the

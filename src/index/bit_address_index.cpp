@@ -579,28 +579,11 @@ void BitAddressIndex::clear() {
   tracked_bytes_ = 0;
 }
 
-void BitAddressIndex::bulk_load(const std::vector<const Tuple*>& tuples,
-                                ThreadPool* pool) {
-  // Phase 1: bucket ids and value tags, parallel when a pool is provided.
-  // Uses an uncharged local computation identical to bucket_of(); the
-  // modelled cost is charged once below so parallelism changes wall time
-  // only.
-  std::vector<BucketId> ids(tuples.size());
-  std::vector<std::uint64_t> tags(tuples.size());
-  auto compute = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t i = lo; i < hi; ++i) {
-      ids[i] = bucket_of_uncharged(*tuples[i]);
-      tags[i] = tuple_tag(*tuples[i]);
-    }
-  };
-  if (pool != nullptr) {
-    pool->parallel_for(0, tuples.size(), compute, /*min_chunk=*/512);
-  } else {
-    compute(0, tuples.size());
-  }
-  // Phase 2: serial, deterministic directory insertion.
-  for (std::size_t i = 0; i < tuples.size(); ++i) {
-    buckets_.insert(ids[i], tuples[i], tags[i]);
+void BitAddressIndex::bulk_load(const std::vector<const Tuple*>& tuples) {
+  // Bucket ids come from an uncharged computation identical to
+  // bucket_of(); the modelled cost is charged once below.
+  for (const Tuple* t : tuples) {
+    buckets_.insert(bucket_of_uncharged(*t), t, tuple_tag(*t));
   }
   size_ += tuples.size();
   if (meter_ != nullptr) {

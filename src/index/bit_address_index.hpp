@@ -17,7 +17,6 @@
 #include <memory>
 #include <vector>
 
-#include "common/thread_pool.hpp"
 #include "index/bit_mapper.hpp"
 #include "index/bucket_directory.hpp"
 #include "index/index_config.hpp"
@@ -122,12 +121,10 @@ class BitAddressIndex final : public TupleIndex {
   /// Charges one hash per indexed attribute per tuple.
   void reconfigure(const IndexConfig& new_config);
 
-  /// Insert many tuples at once. With a thread pool the bucket ids are
-  /// precomputed in parallel (the mapper is pure); directory insertion
-  /// stays serial, so the result is identical to sequential insert().
-  /// Charges the same modelled cost (N_A hashes + one insert per tuple).
-  void bulk_load(const std::vector<const Tuple*>& tuples,
-                 ThreadPool* pool = nullptr);
+  /// Insert many tuples at once, with the same result as sequential
+  /// insert() calls. Charges the same modelled cost (N_A hashes + one
+  /// insert per tuple).
+  void bulk_load(const std::vector<const Tuple*>& tuples);
 
   /// Deep structural validation: directory/count consistency, every stored
   /// tuple rehashes to its bucket, bucket ids fit in total_bits, and the

@@ -26,12 +26,11 @@ std::uint64_t mix64(std::uint64_t x) {
 
 ShardedBitIndex::ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
                                  BitMapper mapper, std::size_t shards,
-                                 std::size_t shard_pos, ThreadPool* pool,
-                                 CostMeter* meter, MemoryTracker* memory)
+                                 std::size_t shard_pos, CostMeter* meter,
+                                 MemoryTracker* memory)
     : jas_(std::move(jas)),
       config_(std::move(config)),
       shard_pos_(shard_pos),
-      pool_(pool),
       meter_(meter) {
   AMRI_CHECK(shards >= 1, "a sharded index needs at least one shard");
   AMRI_CHECK(shard_pos_ < jas_.size(),
@@ -143,44 +142,28 @@ ProbeStats ShardedBitIndex::probe(const ProbeKey& key,
     if (fanout_hist_ != nullptr) fanout_hist_->observe(1.0);
   } else {
     const std::size_t n = shards_.size();
-    // Local per-shard buffers: probe() must stay safe for concurrent
-    // callers (the fan-out lands on pool threads), so no member scratch.
-    std::vector<std::vector<const Tuple*>> parts(n);
-    std::vector<ProbeStats> stats(n);
-    // Trace-span fan-out timing: per-shard wall ns, written by whichever
-    // pool thread serves the shard (distinct slots, no race).
+    // Trace-span fan-out timing: per-shard wall ns.
     const std::uint64_t span =
         telemetry_ != nullptr ? telemetry_->active_span() : 0;
     std::vector<std::uint64_t> shard_ns;
     if (span != 0) shard_ns.assign(n, 0);
-    auto run = [&](std::size_t lo, std::size_t hi) {
-      for (std::size_t i = lo; i < hi; ++i) {
-        // Span-gated wall timing of the per-shard fan-out: pure telemetry
-        // (no cost-model input), and free unless this tuple carries a
-        // trace span. amri-lint: allow(AMRI102)
-        std::chrono::steady_clock::time_point t0{};
-        if (span != 0) t0 = std::chrono::steady_clock::now();
-        Shard& s = *shards_[i];
-        MutexLock lk(s.mu);
-        stats[i] = s.index.probe(key, parts[i]);
-        if (span != 0) {
-          shard_ns[i] = static_cast<std::uint64_t>(
-              std::chrono::duration_cast<std::chrono::nanoseconds>(
-                  std::chrono::steady_clock::now() - t0)
-                  .count());
-        }
-      }
-    };
-    if (pool_ != nullptr && n > 1) {
-      pool_->parallel_for(0, n, run, /*min_chunk=*/1);
-    } else {
-      run(0, n);
-    }
-    // Deterministic merge: shard-id order, each shard's matches in its
-    // own probe order.
+    // Shard-id order, each shard's matches appended in its own probe order:
+    // the merged list is deterministic.
     for (std::size_t i = 0; i < n; ++i) {
-      out.insert(out.end(), parts[i].begin(), parts[i].end());
-      total += stats[i];
+      // Span-gated wall timing of the per-shard fan-out: pure telemetry
+      // (no cost-model input), and free unless this tuple carries a
+      // trace span. amri-lint: allow(AMRI102)
+      std::chrono::steady_clock::time_point t0{};
+      if (span != 0) t0 = std::chrono::steady_clock::now();
+      Shard& s = *shards_[i];
+      MutexLock lk(s.mu);
+      total += s.index.probe(key, out);
+      if (span != 0) {
+        shard_ns[i] = static_cast<std::uint64_t>(
+            std::chrono::duration_cast<std::chrono::nanoseconds>(
+                std::chrono::steady_clock::now() - t0)
+                .count());
+      }
     }
     if (fanout_hist_ != nullptr) {
       fanout_hist_->observe(static_cast<double>(n));
@@ -240,9 +223,9 @@ void ShardedBitIndex::probe_batch(const ProbeKey* keys, std::size_t n,
   }
 
   // One contiguous work list per shard: its targeted keys followed by every
-  // fan-out key. Each shard runs as a single ThreadPool task holding its
-  // mutex once for the whole batch; the shards are uncharged, so per-key
-  // stats come back exact and the wrapper charges below on this thread.
+  // fan-out key. Each shard answers its whole list under one hold of its
+  // mutex; the shards are uncharged, so per-key stats come back exact and
+  // the wrapper charges below.
   struct ShardWork {
     std::vector<ProbeKey> keys;
     std::vector<std::vector<const Tuple*>> parts;
@@ -261,31 +244,24 @@ void ShardedBitIndex::probe_batch(const ProbeKey* keys, std::size_t n,
       telemetry_ != nullptr ? telemetry_->active_span() : 0;
   std::vector<std::uint64_t> shard_ns;
   if (span != 0) shard_ns.assign(num_shards, 0);
-  auto run = [&](std::size_t lo, std::size_t hi) {
-    for (std::size_t s = lo; s < hi; ++s) {
-      ShardWork& w = work[s];
-      if (w.keys.empty()) continue;
-      // Span-gated wall timing of the batched fan-out: pure telemetry (no
-      // cost-model input), free unless a trace span is active.
-      // amri-lint: allow(AMRI102)
-      std::chrono::steady_clock::time_point t0{};
-      if (span != 0) t0 = std::chrono::steady_clock::now();
-      Shard& sh = *shards_[s];
-      MutexLock lk(sh.mu);
-      sh.index.probe_batch(w.keys.data(), w.keys.size(), w.parts.data(),
-                           w.stats.data());
-      if (span != 0) {
-        shard_ns[s] = static_cast<std::uint64_t>(
-            std::chrono::duration_cast<std::chrono::nanoseconds>(
-                std::chrono::steady_clock::now() - t0)
-                .count());
-      }
+  for (std::size_t s = 0; s < num_shards; ++s) {
+    ShardWork& w = work[s];
+    if (w.keys.empty()) continue;
+    // Span-gated wall timing of the batched fan-out: pure telemetry (no
+    // cost-model input), free unless a trace span is active.
+    // amri-lint: allow(AMRI102)
+    std::chrono::steady_clock::time_point t0{};
+    if (span != 0) t0 = std::chrono::steady_clock::now();
+    Shard& sh = *shards_[s];
+    MutexLock lk(sh.mu);
+    sh.index.probe_batch(w.keys.data(), w.keys.size(), w.parts.data(),
+                         w.stats.data());
+    if (span != 0) {
+      shard_ns[s] = static_cast<std::uint64_t>(
+          std::chrono::duration_cast<std::chrono::nanoseconds>(
+              std::chrono::steady_clock::now() - t0)
+              .count());
     }
-  };
-  if (pool_ != nullptr) {
-    pool_->parallel_for(0, num_shards, run, /*min_chunk=*/1);
-  } else {
-    run(0, num_shards);
   }
   if (span != 0 && telemetry_ != nullptr) {
     std::uint64_t width = 0;

@@ -2,26 +2,23 @@
 // BitAddressIndex shards by a stable hash of a designated join-attribute
 // value (the sharding JAS position). Inserts and erases route to the
 // owning shard; a probe that binds the sharding attribute touches exactly
-// one shard, and any other probe fans out across all shards on a
-// ThreadPool, with match lists merged deterministically in shard-id order.
-// Migration proceeds shard-by-shard, so a probe is only ever blocked behind
-// the rebuild of one shard — roughly 1/N of the window instead of all of
-// it.
+// one shard, and any other probe fans out across all shards, one after
+// another on the calling thread in shard-id order, so the merged match
+// list is deterministic. Migration proceeds shard-by-shard; the modelled
+// pause of each shard rebuild is roughly 1/N of the whole window's.
 //
 // Modelled cost: shards run uncharged (null meter), and the wrapper charges
 // the aggregate on the calling thread — the same hash / bucket-visit /
 // comparison structure as the unsharded index, with probe hashing charged
 // once per probe (the coordinator computes the probe layout once).
-// Parallelism saves wall time, never modelled cost, matching the
-// bulk_load() precedent.
 //
 // Thread safety: each shard is guarded by its own mutex. Concurrent probes
 // (including overlapping fan-outs) and a concurrent mutator (insert /
 // erase / migrate_shards) are safe; the aggregate counters and the cost
 // meter are only touched by the mutating/probing *calling* threads, so the
-// engine's single-driver-plus-fanout usage and the TSan stress harness
-// (many probers racing one writer) are both race-free. Multiple concurrent
-// mutators are not supported.
+// engine's single driver thread and the TSan stress harness (many probers
+// racing one writer) are both race-free. Multiple concurrent mutators are
+// not supported.
 #pragma once
 
 #include <cstdint>
@@ -30,7 +27,6 @@
 
 #include "common/lock_ranks.gen.hpp"
 #include "common/thread_annotations.hpp"
-#include "common/thread_pool.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/index_migrator.hpp"
 #include "index/tuple_index.hpp"
@@ -58,26 +54,24 @@ class ShardedBitIndex final : public TupleIndex {
  public:
   /// `shards` >= 1; `shard_pos` is the JAS position whose value picks the
   /// owning shard (stable across reconfigurations — migration never moves
-  /// a tuple between shards). `pool` may be null (fan-out probes run
-  /// serially). `meter` / `memory` may be null; the shards themselves are
-  /// always constructed uncharged and the wrapper accounts on the calling
-  /// thread.
+  /// a tuple between shards). `meter` / `memory` may be null; the shards
+  /// themselves are always constructed uncharged and the wrapper accounts
+  /// on the calling thread.
   ShardedBitIndex(JoinAttributeSet jas, IndexConfig config, BitMapper mapper,
                   std::size_t shards, std::size_t shard_pos = 0,
-                  ThreadPool* pool = nullptr, CostMeter* meter = nullptr,
-                  MemoryTracker* memory = nullptr);
+                  CostMeter* meter = nullptr, MemoryTracker* memory = nullptr);
 
   void insert(const Tuple* t) override;
   void erase(const Tuple* t) override;
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
   /// Batched probe: buckets the keys by owning shard (fan-out keys go to
-  /// every shard) and dispatches ONE ThreadPool task per shard for the
-  /// whole batch — fan-out width is paid per batch, not per tuple. Each
-  /// shard answers its keys through BitAddressIndex::probe_batch (per-mask
-  /// grouping), results merge deterministically (targeted keys verbatim,
-  /// fan-out keys in shard-id order) and the wrapper charges per key in
-  /// batch order — exactly equivalent to n single probe() calls.
+  /// every shard) and visits each shard once for the whole batch, taking
+  /// its lock once. Each shard answers its keys through
+  /// BitAddressIndex::probe_batch (per-mask grouping), results merge
+  /// deterministically (targeted keys verbatim, fan-out keys in shard-id
+  /// order) and the wrapper charges per key in batch order — exactly
+  /// equivalent to n single probe() calls.
   void probe_batch(const ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, ProbeStats* stats) override;
 
@@ -106,7 +100,7 @@ class ShardedBitIndex final : public TupleIndex {
   }
 
   /// Rebuild every shard under `target`, one shard at a time through
-  /// `migrator` (probes of other shards proceed between shard rebuilds).
+  /// `migrator` (each shard's lock is held only for its own rebuild).
   /// Charges the summed rebuild hashes to the wrapper's meter. No-op when
   /// the IC is unchanged.
   ShardMigrationReport migrate_shards(const IndexConfig& target,
@@ -117,12 +111,12 @@ class ShardedBitIndex final : public TupleIndex {
   /// Register per-shard gauges (`<prefix>.shard.<i>.size`), the balance
   /// gauge (`<prefix>.shard.imbalance`, refreshed by balance()), the probe
   /// fan-out histogram (`<prefix>.probe.fanout_shards`), the per-batch
-  /// dispatch width histogram (`<prefix>.probe.batch.fanout_width`: how
-  /// many shards one probe_batch call dispatched to) and the per-shard
-  /// migration pause histogram (`<prefix>.migration.shard_hashes`) in
-  /// `telemetry`'s registry. Also keeps the handle so fan-out probes under
-  /// an active trace span emit "fanout" span events (dispatch width plus
-  /// per-shard wall nanoseconds), stamped with `stream`. Null detaches.
+  /// width histogram (`<prefix>.probe.batch.fanout_width`: how many shards
+  /// one probe_batch call visited) and the per-shard migration pause
+  /// histogram (`<prefix>.migration.shard_hashes`) in `telemetry`'s
+  /// registry. Also keeps the handle so fan-out probes under an active
+  /// trace span emit "fanout" span events (width plus per-shard wall
+  /// nanoseconds), stamped with `stream`. Null detaches.
   void bind_telemetry(telemetry::Telemetry* telemetry,
                       const std::string& prefix, StreamId stream = 0);
 
@@ -151,7 +145,6 @@ class ShardedBitIndex final : public TupleIndex {
   JoinAttributeSet jas_;
   IndexConfig config_;
   std::size_t shard_pos_;
-  ThreadPool* pool_;
   CostMeter* meter_;
   std::vector<std::unique_ptr<Shard>> shards_;
   std::size_t size_ = 0;  ///< maintained by the (single) mutating thread

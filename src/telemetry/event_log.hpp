@@ -5,8 +5,8 @@
 // object fragment — producers use JsonWriter — so the log itself stays
 // independent of every engine-layer type.
 //
-// Thread safety: emit/snapshot/accessors are mutex-guarded so concurrent
-// migrations on pool threads can log through one shared Telemetry handle.
+// Thread safety: emit/snapshot/accessors are mutex-guarded so migrations
+// on several threads can log through one shared Telemetry handle.
 // The sink is invoked under the log's mutex (events reach it in seq order
 // exactly once); sinks must not re-enter the log.
 #pragma once

@@ -5,8 +5,8 @@
 // returned reference/pointer; the disabled path is a null-pointer branch,
 // so hot loops pay nothing when telemetry is off.
 //
-// Thread safety: instruments may be updated from pool threads (parallel
-// migration, concurrent stress tests). Counter/Gauge use relaxed atomics —
+// Thread safety: instruments may be updated from several threads (the
+// concurrent stress tests). Counter/Gauge use relaxed atomics —
 // they are independent statistics, not synchronization; Histogram and the
 // registry's name maps are mutex-guarded and annotated for Clang TSA.
 // The by-reference map accessors are for post-run export and require the

@@ -10,9 +10,8 @@
 // gauges so both flow through the JSONL/Prometheus exporters unchanged.
 //
 // Thread safety: none — the profiler tracks one scope stack and must only
-// be driven from the executor's driver thread (pool-thread work is timed
-// by its caller's enclosing scope; the ThreadPool has its own queue-wait
-// instruments). The registry instruments it writes are thread-safe.
+// be driven from the executor's driver thread, the only thread the engine
+// runs on. The registry instruments it writes are thread-safe.
 // The disabled path is the usual nullable-handle contract: a null
 // Profiler* makes ScopedPhase a no-op worth two null checks.
 #pragma once

@@ -36,7 +36,7 @@ AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
       selector_(effective_guardrails(options), model_.params().hash_cost),
       telemetry_(telemetry),
       stream_(stream),
-      migrator_(nullptr, telemetry, stream),
+      migrator_(telemetry, stream),
       memory_(memory) {
   assert(assessor_ != nullptr);
   assert(popcount(universe) == static_cast<int>(num_attrs));

@@ -38,21 +38,6 @@ TEST(LockRank, ReleaseRestoresHeadroom) {
   SUCCEED();
 }
 
-TEST(LockRank, CondVarWaitReacquireIsClean) {
-  // UniqueLock's release/reacquire cycle (the condition-variable wait
-  // path) must not corrupt the per-thread rank stack.
-  Mutex mu{lockrank::kThreadPoolMu};
-  {
-    UniqueLock lk(mu);
-    lk.unlock();
-    lk.lock();
-  }
-  Mutex high{lockrank::kHistogramMu};
-  MutexLock a(mu);
-  MutexLock b(high);
-  SUCCEED();
-}
-
 TEST(LockRankDeathTest, InversionAborts) {
   ::testing::FLAGS_gtest_death_test_style = "threadsafe";
   Mutex low{lockrank::kShardedBitIndexShardMu};

@@ -271,7 +271,6 @@ Fingerprint run_sharded() {
   backlogged(o, 400.0);
   o.batch_size = 64;
   o.stem.shards = 4;
-  o.fanout_threads = 2;
   o.stem.backend = IndexBackend::kAmri;
   o.stem.initial_config = even_config(sc->query().layout(0).jas.size(), 8);
   tuner::TunerOptions t = adaptive_tuner(8, 300);

@@ -15,16 +15,26 @@
 //     additively into exactly the unpartitioned assessment — the tuner sees
 //     bit-identical frequent-pattern tables and makes bit-identical IC
 //     decisions.
+//
+// A last case checks that sharded executors, single- and multi-query, run
+// every shard on the calling thread: the process's thread count during a
+// run with fan-out probes equals the count before the executor existed.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <deque>
+#include <filesystem>
+#include <optional>
 #include <string>
+#include <system_error>
 #include <vector>
 
 #include "../test_util.hpp"
 #include "common/rng.hpp"
 #include "engine/executor.hpp"
+#include "engine/multi_query.hpp"
+#include "telemetry/telemetry.hpp"
+#include "workload/adversarial.hpp"
 
 namespace amri::engine {
 namespace {
@@ -197,6 +207,87 @@ TEST(ShardedDifferential, ThreeStreamDiaDrift) {
   sc.first_half_s0 = 0.7;
   sc.second_half_s0 = 0.15;
   expect_equivalent(sc);
+}
+
+/// Threads of this process (the entries of /proc/self/task), or nullopt
+/// when the directory cannot be read.
+std::optional<std::size_t> thread_count() {
+  std::error_code ec;
+  std::filesystem::directory_iterator it("/proc/self/task", ec);
+  std::size_t n = 0;
+  for (; !ec && it != std::filesystem::directory_iterator();
+       it.increment(ec)) {
+    ++n;
+  }
+  if (ec) return std::nullopt;
+  return n;
+}
+
+/// Options for a 4-shard run at batch 64 that asks for 3 fan-out threads.
+/// Modelled costs are scaled up so that arrivals back up and real batches
+/// form. `most_threads` tracks the largest thread count seen by any
+/// result callback.
+ExecutorOptions sharded_options(ExecutorOptions o, telemetry::Telemetry& tel,
+                                std::size_t& most_threads) {
+  o.duration = seconds_to_micros(8.0);
+  o.batch_size = 64;
+  o.stem.shards = 4;
+  o.fanout_threads = 3;
+  o.costs.hash_cost_us *= 400.0;
+  o.costs.compare_cost_us *= 400.0;
+  o.costs.route_cost_us *= 400.0;
+  o.costs.bucket_visit_cost_us *= 400.0;
+  o.telemetry = &tel;
+  o.on_result = [&most_threads](const JoinResult&) {
+    most_threads = std::max(most_threads, thread_count().value_or(0));
+  };
+  return o;
+}
+
+/// True when some probe of the run fanned out: `*.probe.fanout_shards`
+/// observes 1 for a targeted probe and the shard count for a fan-out.
+bool saw_fanout(const telemetry::Telemetry& tel) {
+  for (const auto& [name, h] : tel.metrics().histograms()) {
+    if (name.ends_with(".probe.fanout_shards") &&
+        h.sum() > static_cast<double>(h.count())) {
+      return true;
+    }
+  }
+  return false;
+}
+
+TEST(ShardedDifferential, ShardsRunOnTheCallingThread) {
+  const std::optional<std::size_t> before = thread_count();
+  if (!before.has_value()) GTEST_SKIP() << "/proc/self/task is unreadable";
+
+  workload::AdversarialOptions a;
+  a.rate_per_sec = 40.0;
+  a.seed = 31;
+  {
+    const auto sc = workload::AdversarialScenario::make("rotating_hot_set", a);
+    telemetry::Telemetry tel;
+    std::size_t most_threads = 0;
+    Executor ex(sc->query(),
+                sharded_options(sc->executor_options(), tel, most_threads));
+    const auto src = sc->make_source();
+    const RunResult r = ex.run(*src);
+    EXPECT_GT(r.outputs, 0u);
+    EXPECT_TRUE(saw_fanout(tel));
+    EXPECT_EQ(most_threads, *before);
+  }
+  {
+    const auto sc = workload::AdversarialScenario::make("multi_query", a);
+    telemetry::Telemetry tel;
+    std::size_t most_threads = 0;
+    MultiQueryExecutor ex(
+        sc->queries(),
+        sharded_options(sc->executor_options(), tel, most_threads));
+    const auto src = sc->make_source();
+    const MultiRunResult r = ex.run(*src);
+    EXPECT_GT(r.combined.outputs, 0u);
+    EXPECT_TRUE(saw_fanout(tel));
+    EXPECT_EQ(most_threads, *before);
+  }
 }
 
 }  // namespace

@@ -1,10 +1,9 @@
 // Concurrency stress for the sharded state layer, aimed at the tsan
-// preset: several prober threads issue fan-out and targeted probes (their
-// fan-outs sharing one ThreadPool) while one writer thread churns the
-// window (insert + erase) and periodically migrates the index shard by
-// shard. The wrapper's documented contract — many probers, one mutator —
-// must hold race-free for >= 10k operations, and the aggregate invariants
-// must survive the storm.
+// preset: several prober threads issue fan-out and targeted probes while
+// one writer thread churns the window (insert + erase) and periodically
+// migrates the index shard by shard. The wrapper's documented contract —
+// many probers, one mutator — must hold race-free for >= 10k operations,
+// and the aggregate invariants must survive the storm.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -27,12 +26,11 @@ TEST(ShardedStress, ProbesRaceMigrationAndExpiry) {
   const Value kDomain = 50;
 
   JoinAttributeSet jas({0, 1, 2});
-  ThreadPool pool(4);
   // Null meter / memory: the cost meter is single-threaded by design, and
   // concurrent probers would race on it — the engine only meters probes
   // issued from its one driver thread.
   ShardedBitIndex idx(jas, IndexConfig({2, 2, 1}), BitMapper::hashing(3),
-                      kShards, /*shard_pos=*/0, &pool);
+                      kShards, /*shard_pos=*/0);
   const IndexMigrator migrator;
 
   // The writer cycles through the pool FIFO, so a tuple is reused only

@@ -3,7 +3,6 @@
 #include <set>
 
 #include "../test_util.hpp"
-#include "common/thread_pool.hpp"
 #include "index/bit_address_index.hpp"
 
 namespace amri::index {
@@ -36,19 +35,6 @@ TEST(BulkLoad, EquivalentToSequentialInserts) {
     EXPECT_EQ(std::set<const Tuple*>(a.begin(), a.end()),
               std::set<const Tuple*>(b.begin(), b.end()));
   }
-}
-
-TEST(BulkLoad, ParallelMatchesSerial) {
-  testutil::TuplePool pool(5000, 3, 100, 5);
-  ThreadPool tp(4);
-  BitAddressIndex parallel(jas3(), IndexConfig({4, 4, 4}),
-                           BitMapper::hashing(3));
-  BitAddressIndex serial(jas3(), IndexConfig({4, 4, 4}),
-                         BitMapper::hashing(3));
-  parallel.bulk_load(pool.pointers(), &tp);
-  serial.bulk_load(pool.pointers(), nullptr);
-  EXPECT_EQ(parallel.size(), 5000u);
-  EXPECT_EQ(parallel.occupied_buckets(), serial.occupied_buckets());
 }
 
 TEST(BulkLoad, ChargesSameCostAsInserts) {

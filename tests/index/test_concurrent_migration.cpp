@@ -1,7 +1,8 @@
-// Concurrent-migration tests: several threads drive migrations against a
-// shared Telemetry instance (and, in one case, a shared migrator). These
-// exercise the mutex-guarded faces of IndexMigrator, MetricsRegistry, and
-// EventLog; run them under the debug-tsan preset to validate the locking.
+// Concurrent-migration tests: several threads drive migrations, mostly
+// against a shared Telemetry instance (and, in one case, a shared
+// migrator). These exercise the mutex-guarded faces of IndexMigrator,
+// MetricsRegistry, and EventLog; run them under the debug-tsan preset to
+// validate the locking.
 #include "index/index_migrator.hpp"
 
 #include <gtest/gtest.h>
@@ -31,7 +32,7 @@ TEST(ConcurrentMigration, PerStreamMigratorsSharedTelemetry) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
         jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
     migrators.push_back(std::make_unique<IndexMigrator>(
-        nullptr, &telemetry, static_cast<StreamId>(s)));
+        &telemetry, static_cast<StreamId>(s)));
     pools.emplace_back(kTuplesPerIndex, 3, 40, 100 + s);
     for (const Tuple* t : pools.back().pointers()) indexes[s]->insert(t);
   }
@@ -71,7 +72,7 @@ TEST(ConcurrentMigration, PerStreamMigratorsSharedTelemetry) {
 
 TEST(ConcurrentMigration, SharedMigratorSerializesRebuilds) {
   telemetry::Telemetry telemetry;
-  const IndexMigrator migrator(nullptr, &telemetry, 0);
+  const IndexMigrator migrator(&telemetry, 0);
   std::vector<std::unique_ptr<BitAddressIndex>> indexes;
   std::vector<testutil::TuplePool> pools;
   std::vector<std::set<const Tuple*>> expected(kThreads);
@@ -109,19 +110,16 @@ TEST(ConcurrentMigration, SharedMigratorSerializesRebuilds) {
       kThreads * 2);
 }
 
-TEST(ConcurrentMigration, ParallelPoolBackedMigrations) {
-  // Migrators that share a ThreadPool for bulk work must coexist with each
-  // other and with direct pool users.
-  telemetry::Telemetry telemetry;
-  ThreadPool pool(4);
+TEST(ConcurrentMigration, ParallelDetachedMigrations) {
+  // Detached migrators (no telemetry), one per index, rebuilding on
+  // parallel threads: each rebuild must stay confined to its own index.
   std::vector<std::unique_ptr<BitAddressIndex>> indexes;
   std::vector<std::unique_ptr<IndexMigrator>> migrators;
   std::vector<testutil::TuplePool> pools;
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
         jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
-    migrators.push_back(std::make_unique<IndexMigrator>(
-        &pool, &telemetry, static_cast<StreamId>(s)));
+    migrators.push_back(std::make_unique<IndexMigrator>());
     pools.emplace_back(kTuplesPerIndex, 3, 40, 300 + s);
     for (const Tuple* t : pools.back().pointers()) indexes[s]->insert(t);
   }

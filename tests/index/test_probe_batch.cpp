@@ -79,10 +79,10 @@ void run_round(std::uint64_t seed, std::size_t shards) {
   BitAddressIndex grouped(jas, config, mapper, &grouped_meter);
   BitAddressIndex defaulted(jas, config, mapper, &default_meter);
   ShardedBitIndex sharded(jas, config, mapper, shards, /*shard_pos=*/1,
-                          /*pool=*/nullptr, &sharded_meter);
+                          &sharded_meter);
   CostMeter sharded_ref_meter;
   ShardedBitIndex sharded_ref(jas, config, mapper, shards, /*shard_pos=*/1,
-                              /*pool=*/nullptr, &sharded_ref_meter);
+                              &sharded_ref_meter);
 
   testutil::TuplePool pool(600, 3, static_cast<int>(kDomain), seed + 1);
   const auto live = pool.pointers();

@@ -18,8 +18,8 @@ AMRI102  clock discipline. No std::chrono::steady_clock / system_clock
          same-class helpers they reach). Wall time belongs to telemetry /
          profiler code only (src/telemetry/ is exempt).
 AMRI103  lock order. Extracts the static Mutex acquisition graph from
-         MutexLock/UniqueLock nesting and cross-class calls made while a
-         lock is held, assigns distinct total-order ranks by longest-path
+         MutexLock nesting and cross-class calls made while a lock is
+         held, assigns distinct total-order ranks by longest-path
          layering, and fails on cycles, self-nesting, or (with
          --require-rank-init) a Mutex member whose declaration does not
          brace-initialize with its generated lockrank:: constant.
@@ -82,7 +82,7 @@ SEED_EDGES = [
      "takes its own lock) inside try_emplace under the registry mutex"),
 ]
 
-LOCK_CLASSES = {"MutexLock", "UniqueLock"}
+LOCK_CLASSES = {"MutexLock"}
 CHARGE_CALL_RE = re.compile(r"^charge_\w+$")
 
 TOKEN_RE = re.compile(r"[A-Za-z_]\w*|::|->|\d[\w.+-]*|\S")
