@@ -8,9 +8,10 @@
 //
 // Knobs (key=value): sim_seconds, rate, seed, backend=amri|bitmap|modules|
 // scan, bits, epsilon, theta, shards, batch_size, decision_reuse, engine.
-// `--shards N` partitions each state's window and index into N parallel
-// shards (bit-address backends). `--batch-size N` moves up to N arrivals
-// through the pipeline together after warm-up (vectorized probe path).
+// `--shards N` partitions each state's window and index into N shards
+// (bit-address backends), probed one after another on the calling thread.
+// `--batch-size N` moves up to N arrivals through the pipeline together
+// after warm-up.
 // `--decision-reuse N` reuses one routing decision per done-mask N times.
 // `--bits B` is the IC bit budget, in [0, 30]. `--engine virtual|wall`
 // routes each batch run by run (default) or as one mixed-stream segment

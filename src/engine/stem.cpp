@@ -262,63 +262,8 @@ telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
 
 index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
                                       std::vector<const Tuple*>& out) {
-  ++probes_;
-  const double charged_before =
-      (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
   index::ProbeStats stats;
-  {
-    telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    stats = index_->probe(key, out);
-  }
-  if (telemetry_ != nullptr) {
-    probe_counter_->add();
-    if (meter_ != nullptr) {
-      // Modelled probe latency: the virtual time this probe charged to the
-      // clock (hashes, bucket visits, comparisons), per access pattern.
-      const double cost = meter_->charged_us() - charged_before;
-      probe_cost_hist_->observe(cost);
-      pattern_histogram(key.mask)->observe(cost);
-      // Feed the tuner's realized-cost accumulator before any decision
-      // below closes the epoch.
-      if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(cost);
-    }
-  }
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    // External grid attribution: the request lands in the active query's
-    // row, at the shard that served it; fan-outs touch every shard, so
-    // they round-robin deterministically (the merged assessment is
-    // shard-attribution-invariant anyway).
-    std::size_t shard_slot = 0;
-    if (sharded_index_ != nullptr) {
-      const std::size_t target = sharded_index_->target_shard(key);
-      shard_slot =
-          target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
-    }
-    shard_assessors_[active_query_ * shard_slots_ + shard_slot]->observe(
-        key.mask);
-    if (!epoch_query_requests_.empty()) {
-      ++epoch_query_requests_[active_query_];
-    }
-    amri_tuner_->note_request();
-    sync_stats_memory();
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      merged_tune();
-    }
-  } else if (amri_tuner_ != nullptr) {
-    amri_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      amri_tuner_->maybe_tune(*bit_index_);
-    }
-  } else if (module_tuner_ != nullptr) {
-    module_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && module_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      module_tuner_->maybe_tune(*module_index_);
-    }
-  }
+  probe_chunk(&key, 1, &out, &stats);
   return stats;
 }
 
@@ -328,10 +273,6 @@ void StemOperator::probe_batch(const index::ProbeKey* keys, std::size_t n,
   if (n == 0) return;
   if (batch_size_hist_ != nullptr) {
     batch_size_hist_->observe(static_cast<double>(n));
-  }
-  if (n == 1) {
-    stats[0] = probe(keys[0], outs[0]);
-    return;
   }
   std::size_t pos = 0;
   while (pos < n) {
@@ -362,7 +303,9 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
       (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
   {
     telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    index_->probe_batch(keys, n, outs, stats);
+    for (std::size_t i = 0; i < n; ++i) {
+      stats[i] = index_->probe(keys[i], outs[i]);
+    }
   }
   if (telemetry_ != nullptr) {
     probe_counter_->add(n);
@@ -376,6 +319,8 @@ void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
         probe_cost_hist_->observe(avg);
         pattern_histogram(keys[i].mask)->observe(avg);
       }
+      // Feed the tuner's realized-cost accumulator before any decision
+      // below closes the epoch.
       if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(total, n);
     }
   }

@@ -107,19 +107,20 @@ class StemOperator {
   void set_active_query(std::size_t qi) { active_query_ = qi; }
 
   /// Probe for matches; feeds the access pattern to the tuner (if any) and
-  /// applies due tuning decisions. Matches are appended to `out`.
+  /// applies due tuning decisions. Matches are appended to `out`. A chunk
+  /// of one key: the same path probe_batch() takes.
   index::ProbeStats probe(const index::ProbeKey& key,
                           std::vector<const Tuple*>& out);
 
-  /// Probe `n` keys through the index's batched path: key i's matches are
-  /// appended to `outs[i]`, its statistics stored in `stats[i]`. The batch
-  /// is chunked at the tuner's decision boundary (requests_until_due) so
-  /// mid-batch tuning fires at the same request index as n single probes;
-  /// within a chunk the assessors receive one weighted observe per
-  /// (shard, access-pattern) group, attributed with the sequential
-  /// round-robin sequence. Exact-count equivalent to n probe() calls for
-  /// the exact assessors (SRIA/DIA); epsilon-equivalent for the
-  /// compressing ones (see docs/architecture.md).
+  /// Probe `n` keys: key i's matches are appended to `outs[i]`, its
+  /// statistics stored in `stats[i]`. The batch is chunked at the tuner's
+  /// decision boundary (requests_until_due) so mid-batch tuning fires at
+  /// the same request index as n single probes; within a chunk the index
+  /// answers each key with its one probe() and the assessors receive one
+  /// weighted observe per (shard, access-pattern) group, attributed with
+  /// the sequential round-robin sequence. Exact-count equivalent to n
+  /// probe() calls for the exact assessors (SRIA/DIA); epsilon-equivalent
+  /// for the compressing ones (see docs/architecture.md).
   void probe_batch(const index::ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, index::ProbeStats* stats);
 
@@ -187,9 +188,10 @@ class StemOperator {
  private:
   void sync_tuple_memory();
   void sync_stats_memory();
-  /// One tuner-boundary-free chunk of probe_batch: index batch probe,
-  /// telemetry, grouped weighted assessor feed, then at most one tuning
-  /// decision at the chunk end.
+  /// One tuner-boundary-free chunk of probe_batch (or one probe()): the
+  /// index probe per key under one profiler scope, telemetry, grouped
+  /// weighted assessor feed, then at most one tuning decision at the chunk
+  /// end.
   void probe_chunk(const index::ProbeKey* keys, std::size_t n,
                    std::vector<const Tuple*>* outs, index::ProbeStats* stats);
   /// Merged tuning epoch (sharded and/or multi-query): merge the whole

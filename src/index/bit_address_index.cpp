@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <cassert>
 #include <cmath>
-#include <unordered_map>
 
 #include "common/assertions.hpp"
 
@@ -264,185 +263,6 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
     });
   }
   return stats;
-}
-
-void BitAddressIndex::probe_batch(const ProbeKey* keys, std::size_t n,
-                                  std::vector<const Tuple*>* outs,
-                                  ProbeStats* stats) {
-  if (n == 0) return;
-  if (n == 1) {
-    stats[0] = probe(keys[0], outs[0]);
-    return;
-  }
-
-  // Per-access-pattern shared work. Which bucket-id bits a mask fixes, the
-  // wildcard width, the enumerate-vs-filter strategy and (when enumerating)
-  // the wildcard bit combinations are functions of the mask alone — compute
-  // them once per distinct mask in the batch. The directory is not mutated
-  // by probes, so the strategy choice is stable for the whole batch.
-  struct Group {
-    AttrMask mask = 0;
-    BucketId fixed_mask = 0;
-    int wildcard_bits = 0;
-    std::uint64_t enum_count = 1;
-    bool enumerate_path = false;   ///< wildcard > 0 and enumeration cheaper
-    std::uint32_t bound_hashes = 0;  ///< bound indexed attrs (N_{A,ap})
-    /// Unfixed indexed bit positions, ascending — probe()'s visit order.
-    SmallVector<std::uint8_t, 32> free_positions;
-    /// Wildcard bit combinations in w order, materialized only when the
-    /// group stays under kComboMaterializeCap; wider wildcards enumerate
-    /// lazily from free_positions so the batched path never allocates more
-    /// than the unbatched one.
-    std::vector<BucketId> combos;
-  };
-  SmallVector<std::uint32_t, 64> group_of;
-  std::vector<Group> groups;
-  // mask → group index, so adversarial mask mixes (many distinct masks per
-  // batch) stay O(n) instead of the quadratic per-key linear group scan.
-  std::unordered_map<AttrMask, std::uint32_t> group_index;
-  for (std::size_t i = 0; i < n; ++i) {
-    const auto [it, inserted] = group_index.try_emplace(
-        keys[i].mask, static_cast<std::uint32_t>(groups.size()));
-    if (inserted) {
-      Group grp;
-      grp.mask = keys[i].mask;
-      for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-        const int bits = config_.bits(pos);
-        if (bits == 0) continue;
-        if (has_bit(grp.mask, static_cast<unsigned>(pos))) {
-          grp.fixed_mask |= low_bits64(bits) << config_.shift_of(pos);
-          ++grp.bound_hashes;
-        } else {
-          grp.wildcard_bits += bits;
-        }
-      }
-      grp.enum_count = pow2_saturating(grp.wildcard_bits);
-      grp.enumerate_path =
-          grp.wildcard_bits > 0 && grp.enum_count <= buckets_.size();
-      if (grp.enumerate_path) {
-        // Distribute the enumeration counter's bits into the unfixed
-        // indexed bit positions (ascending — probe()'s visit order).
-        for (int bit = 0; bit < config_.total_bits(); ++bit) {
-          if ((grp.fixed_mask >> bit & 1u) == 0) {
-            grp.free_positions.push_back(static_cast<std::uint8_t>(bit));
-          }
-        }
-        assert(static_cast<int>(grp.free_positions.size()) ==
-               grp.wildcard_bits);
-        if (grp.enum_count <= kComboMaterializeCap) {
-          grp.combos.reserve(grp.enum_count);
-          for (std::uint64_t w = 0; w < grp.enum_count; ++w) {
-            BucketId id = 0;
-            for (std::size_t b = 0; b < grp.free_positions.size(); ++b) {
-              if ((w >> b) & 1u) id |= BucketId{1} << grp.free_positions[b];
-            }
-            grp.combos.push_back(id);
-          }
-        }
-      }
-      groups.push_back(std::move(grp));
-    }
-    group_of.push_back(it->second);
-  }
-
-  // Per-key pass, in batch order: bound-value mapper hashes, bucket visits
-  // and comparisons are performed and charged exactly as n single probes.
-  for (std::size_t i = 0; i < n; ++i) {
-    const Group& grp = groups[group_of[i]];
-    const ProbeKey& key = keys[i];
-    ProbeStats& st = stats[i];
-    st = ProbeStats{};
-    std::vector<const Tuple*>& out = outs[i];
-    BucketId fixed = 0;
-    for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-      const int bits = config_.bits(pos);
-      if (bits == 0 || !has_bit(key.mask, static_cast<unsigned>(pos))) {
-        continue;
-      }
-      fixed |= mapper_.map(pos, key.values[pos], bits)
-               << config_.shift_of(pos);
-    }
-
-    // One hash charge per bound indexed attribute, preserving probe()'s
-    // exact charge sequence (and floating-point accumulation order).
-    if (meter_ != nullptr) {
-      for (std::uint32_t h = 0; h < grp.bound_hashes; ++h) {
-        meter_->charge_hash();  // N_{A,ap} · C_h
-      }
-    }
-
-    auto scan_bucket = [&](const Bucket& bucket) {
-      for (const BucketEntry& e : bucket) {
-        ++st.tuples_compared;
-        if (meter_ != nullptr) meter_->charge_compare();
-        if (key.matches(*e.tuple, jas_)) {
-          out.push_back(e.tuple);
-          ++st.matches;
-        }
-      }
-    };
-
-    if (wildcard_hist_ != nullptr) {
-      wildcard_hist_->observe(static_cast<double>(grp.enum_count));
-      (grp.enum_count <= buckets_.size() ? probes_enumerated_
-                                         : probes_filtered_)
-          ->add();
-    }
-    if (grp.wildcard_bits == 0) {
-      if (meter_ != nullptr) meter_->charge_bucket_visit();
-      ++st.buckets_visited;
-      const Bucket* bucket = buckets_.find(fixed);
-      if (bucket != nullptr) {
-        if (static_cast<std::size_t>(key.bound_count()) == jas_.size()) {
-          const std::uint64_t tag = key_tag(key);
-          for (const BucketEntry& e : *bucket) {
-            ++st.tuples_compared;
-            if (meter_ != nullptr) meter_->charge_compare();
-            if (e.tag != tag) continue;
-            if (key.matches(*e.tuple, jas_)) {
-              out.push_back(e.tuple);
-              ++st.matches;
-            }
-          }
-        } else {
-          scan_bucket(*bucket);
-        }
-      }
-    } else if (grp.enumerate_path) {
-      if (!grp.combos.empty()) {
-        const std::size_t m = grp.combos.size();
-        for (std::size_t j = 0; j < m; ++j) {
-          if (meter_ != nullptr) meter_->charge_bucket_visit();
-          ++st.buckets_visited;
-          const Bucket* bucket = buckets_.find(fixed | grp.combos[j]);
-          if (bucket != nullptr) scan_bucket(*bucket);
-        }
-      } else {
-        // Lazy enumeration (group wider than kComboMaterializeCap): same w
-        // order as probe().
-        const auto combo_at = [&grp](std::uint64_t w) {
-          BucketId id = 0;
-          for (std::size_t b = 0; b < grp.free_positions.size(); ++b) {
-            if ((w >> b) & 1u) id |= BucketId{1} << grp.free_positions[b];
-          }
-          return id;
-        };
-        for (std::uint64_t w = 0; w < grp.enum_count; ++w) {
-          if (meter_ != nullptr) meter_->charge_bucket_visit();
-          ++st.buckets_visited;
-          const Bucket* bucket = buckets_.find(fixed | combo_at(w));
-          if (bucket != nullptr) scan_bucket(*bucket);
-        }
-      }
-    } else {
-      buckets_.for_each([&](BucketId id, const Bucket& bucket) {
-        if ((id & grp.fixed_mask) != fixed) return;
-        ++st.buckets_visited;
-        if (meter_ != nullptr) meter_->charge_bucket_visit();
-        scan_bucket(bucket);
-      });
-    }
-  }
 }
 
 ProbeStats BitAddressIndex::probe_range(const RangeProbeKey& key,

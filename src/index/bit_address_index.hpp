@@ -59,16 +59,6 @@ class BitAddressIndex final : public TupleIndex {
   void erase_batch(const Tuple* const* tuples, std::size_t n);
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
-  /// Batched probe: groups keys by access pattern so the per-mask work —
-  /// fixed-bit layout, enumerate-vs-filter strategy, and the wildcard bit
-  /// combinations — is computed once per distinct mask (a mask→group hash,
-  /// so adversarial mask mixes stay O(n)) and shared across the batch.
-  /// Per-key work (bound-value mapper hashes, bucket visits, comparisons)
-  /// still runs and is charged per key in batch order, so the result is
-  /// exactly equivalent to n single probe() calls.
-  void probe_batch(const ProbeKey* keys, std::size_t n,
-                   std::vector<const Tuple*>* outs, ProbeStats* stats) override;
-
   /// Range probe (paper §II: join expressions may be <, >, >=, <=): each
   /// bound attribute carries an inclusive interval. Under the *range*
   /// mapper an interval maps to a contiguous run of bucket cells; under
@@ -136,12 +126,6 @@ class BitAddressIndex final : public TupleIndex {
 
  private:
   using Bucket = BucketDirectory::Bucket;
-
-  /// probe_batch materializes a group's wildcard combinations only up to
-  /// this many ids (8 KiB); wider wildcards enumerate lazily, exactly like
-  /// single-key probe(), so a wide-wildcard probe in a large directory
-  /// cannot allocate more in the batched path than the unbatched one.
-  static constexpr std::uint64_t kComboMaterializeCap = 1024;
 
   /// Probe layout: the fixed bits contributed by bound attributes and the
   /// list of wildcard chunks to enumerate.

@@ -187,146 +187,6 @@ ProbeStats ShardedBitIndex::probe(const ProbeKey& key,
   return total;
 }
 
-void ShardedBitIndex::probe_batch(const ProbeKey* keys, std::size_t n,
-                                  std::vector<const Tuple*>* outs,
-                                  ProbeStats* stats) {
-  if (n == 0) return;
-  const std::size_t num_shards = shards_.size();
-  if (num_shards == 1) {
-    // Everything lands on shard 0 (targeted or width-1 fan-out alike):
-    // one lock, one grouped batch probe underneath.
-    {
-      Shard& s = *shards_[0];
-      MutexLock lk(s.mu);
-      s.index.probe_batch(keys, n, outs, stats);
-    }
-    for (std::size_t i = 0; i < n; ++i) {
-      charge_probe(keys[i].mask, stats[i]);
-      if (fanout_hist_ != nullptr) fanout_hist_->observe(1.0);
-    }
-    if (batch_fanout_hist_ != nullptr) batch_fanout_hist_->observe(1.0);
-    return;
-  }
-
-  // Bucket the batch's keys by owning shard; keys that do not bind the
-  // sharding attribute fan out to every shard.
-  std::vector<std::size_t> owner(n);
-  std::vector<std::vector<std::uint32_t>> mine(num_shards);
-  std::vector<std::uint32_t> fanout;
-  for (std::size_t i = 0; i < n; ++i) {
-    owner[i] = target_shard(keys[i]);
-    if (owner[i] < num_shards) {
-      mine[owner[i]].push_back(static_cast<std::uint32_t>(i));
-    } else {
-      fanout.push_back(static_cast<std::uint32_t>(i));
-    }
-  }
-
-  // One contiguous work list per shard: its targeted keys followed by every
-  // fan-out key. Each shard answers its whole list under one hold of its
-  // mutex; the shards are uncharged, so per-key stats come back exact and
-  // the wrapper charges below.
-  struct ShardWork {
-    std::vector<ProbeKey> keys;
-    std::vector<std::vector<const Tuple*>> parts;
-    std::vector<ProbeStats> stats;
-  };
-  std::vector<ShardWork> work(num_shards);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardWork& w = work[s];
-    w.keys.reserve(mine[s].size() + fanout.size());
-    for (const std::uint32_t i : mine[s]) w.keys.push_back(keys[i]);
-    for (const std::uint32_t i : fanout) w.keys.push_back(keys[i]);
-    w.parts.resize(w.keys.size());
-    w.stats.resize(w.keys.size());
-  }
-  const std::uint64_t span =
-      telemetry_ != nullptr ? telemetry_->active_span() : 0;
-  std::vector<std::uint64_t> shard_ns;
-  if (span != 0) shard_ns.assign(num_shards, 0);
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardWork& w = work[s];
-    if (w.keys.empty()) continue;
-    // Span-gated wall timing of the batched fan-out: pure telemetry (no
-    // cost-model input), free unless a trace span is active.
-    // amri-lint: allow(AMRI102)
-    std::chrono::steady_clock::time_point t0{};
-    if (span != 0) t0 = std::chrono::steady_clock::now();
-    Shard& sh = *shards_[s];
-    MutexLock lk(sh.mu);
-    sh.index.probe_batch(w.keys.data(), w.keys.size(), w.parts.data(),
-                         w.stats.data());
-    if (span != 0) {
-      shard_ns[s] = static_cast<std::uint64_t>(
-          std::chrono::duration_cast<std::chrono::nanoseconds>(
-              std::chrono::steady_clock::now() - t0)
-              .count());
-    }
-  }
-  if (span != 0 && telemetry_ != nullptr) {
-    std::uint64_t width = 0;
-    for (const ShardWork& w : work) {
-      if (!w.keys.empty()) ++width;
-    }
-    telemetry::JsonWriter w;
-    w.begin_object();
-    w.field("span", span);
-    w.field("stage", "fanout");
-    w.field("wall_ns", telemetry_->wall_ns());
-    w.field("width", width);
-    w.field("keys", static_cast<std::uint64_t>(n));
-    w.field("fanout_keys", static_cast<std::uint64_t>(fanout.size()));
-    w.begin_array("shard_ns");
-    for (const std::uint64_t ns : shard_ns) w.value(ns);
-    w.end_array();
-    w.end_object();
-    telemetry_->emit(telemetry::EventKind::kSpan, stream_id_,
-                     std::move(w).take());
-  }
-
-  // Scatter targeted results back verbatim.
-  for (std::size_t s = 0; s < num_shards; ++s) {
-    ShardWork& w = work[s];
-    for (std::size_t j = 0; j < mine[s].size(); ++j) {
-      const std::uint32_t i = mine[s][j];
-      outs[i].insert(outs[i].end(), w.parts[j].begin(), w.parts[j].end());
-      stats[i] = w.stats[j];
-    }
-  }
-  // Fan-out keys merge deterministically in shard-id order, each shard's
-  // matches in its own probe order (the same order probe() produces).
-  for (std::size_t f = 0; f < fanout.size(); ++f) {
-    const std::uint32_t i = fanout[f];
-    stats[i] = ProbeStats{};
-    for (std::size_t s = 0; s < num_shards; ++s) {
-      ShardWork& w = work[s];
-      const std::size_t slot = mine[s].size() + f;
-      outs[i].insert(outs[i].end(), w.parts[slot].begin(),
-                     w.parts[slot].end());
-      stats[i] += w.stats[slot];
-    }
-  }
-
-  // Charges and per-key fan-out telemetry in batch order (cost parity with
-  // n single probes); the batch histogram records how many shards this one
-  // call dispatched to.
-  for (std::size_t i = 0; i < n; ++i) {
-    charge_probe(keys[i].mask, stats[i]);
-    if (fanout_hist_ != nullptr) {
-      fanout_hist_->observe(owner[i] < num_shards
-                                ? 1.0
-                                : static_cast<double>(num_shards));
-    }
-  }
-  if (batch_fanout_hist_ != nullptr) {
-    std::size_t width = 0;
-    for (const ShardWork& w : work) {
-      if (!w.keys.empty()) ++width;
-    }
-    batch_fanout_hist_->observe(static_cast<double>(width));
-  }
-}
-
 ShardMigrationReport ShardedBitIndex::migrate_shards(
     const IndexConfig& target, const IndexMigrator& migrator) {
   ShardMigrationReport report;
@@ -410,7 +270,6 @@ void ShardedBitIndex::bind_telemetry(telemetry::Telemetry* telemetry,
     for (auto& sp : shards_) sp->size_gauge = nullptr;
     imbalance_gauge_ = nullptr;
     fanout_hist_ = nullptr;
-    batch_fanout_hist_ = nullptr;
     shard_migration_hist_ = nullptr;
     return;
   }
@@ -422,9 +281,6 @@ void ShardedBitIndex::bind_telemetry(telemetry::Telemetry* telemetry,
   imbalance_gauge_ = &reg.gauge(prefix + ".shard.imbalance");
   fanout_hist_ =
       &reg.histogram(prefix + ".probe.fanout_shards",
-                     telemetry::Histogram::exponential_bounds(1.0, 2.0, 8));
-  batch_fanout_hist_ =
-      &reg.histogram(prefix + ".probe.batch.fanout_width",
                      telemetry::Histogram::exponential_bounds(1.0, 2.0, 8));
   shard_migration_hist_ =
       &reg.histogram(prefix + ".migration.shard_hashes",

@@ -65,16 +65,6 @@ class ShardedBitIndex final : public TupleIndex {
   void erase(const Tuple* t) override;
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
-  /// Batched probe: buckets the keys by owning shard (fan-out keys go to
-  /// every shard) and visits each shard once for the whole batch, taking
-  /// its lock once. Each shard answers its keys through
-  /// BitAddressIndex::probe_batch (per-mask grouping), results merge
-  /// deterministically (targeted keys verbatim, fan-out keys in shard-id
-  /// order) and the wrapper charges per key in batch order — exactly
-  /// equivalent to n single probe() calls.
-  void probe_batch(const ProbeKey* keys, std::size_t n,
-                   std::vector<const Tuple*>* outs, ProbeStats* stats) override;
-
   std::size_t size() const override { return size_; }
   std::size_t memory_bytes() const override;
   std::string name() const override;
@@ -110,13 +100,11 @@ class ShardedBitIndex final : public TupleIndex {
 
   /// Register per-shard gauges (`<prefix>.shard.<i>.size`), the balance
   /// gauge (`<prefix>.shard.imbalance`, refreshed by balance()), the probe
-  /// fan-out histogram (`<prefix>.probe.fanout_shards`), the per-batch
-  /// width histogram (`<prefix>.probe.batch.fanout_width`: how many shards
-  /// one probe_batch call visited) and the per-shard migration pause
-  /// histogram (`<prefix>.migration.shard_hashes`) in `telemetry`'s
-  /// registry. Also keeps the handle so fan-out probes under an active
-  /// trace span emit "fanout" span events (width plus per-shard wall
-  /// nanoseconds), stamped with `stream`. Null detaches.
+  /// fan-out histogram (`<prefix>.probe.fanout_shards`) and the per-shard
+  /// migration pause histogram (`<prefix>.migration.shard_hashes`) in
+  /// `telemetry`'s registry. Also keeps the handle so fan-out probes under
+  /// an active trace span emit "fanout" span events (width plus per-shard
+  /// wall nanoseconds), stamped with `stream`. Null detaches.
   void bind_telemetry(telemetry::Telemetry* telemetry,
                       const std::string& prefix, StreamId stream = 0);
 
@@ -153,7 +141,6 @@ class ShardedBitIndex final : public TupleIndex {
   StreamId stream_id_ = 0;                     ///< span event stream stamp
   telemetry::Gauge* imbalance_gauge_ = nullptr;
   telemetry::Histogram* fanout_hist_ = nullptr;
-  telemetry::Histogram* batch_fanout_hist_ = nullptr;
   telemetry::Histogram* shard_migration_hist_ = nullptr;
 };
 

@@ -1,13 +1,9 @@
-// Allocation parity for the batched probe path (regression): probe_batch
-// used to materialize the full wildcard-combination vector per group —
-// 2^wildcard_bits bucket ids — so a wide-wildcard batch transiently
-// allocated memory the equivalent sequence of probe() calls never needed.
-// Combos are now materialized only up to kComboMaterializeCap (wider
-// groups enumerate lazily), so the batched path's allocations must stay in
-// the same league as the unbatched path's.
-//
-// The same counters check that the exhaustive index optimizer allocates
-// nothing per non-improving candidate.
+// Allocation checks on the probe and optimizer hot paths. Once a warm-up
+// probe has sized the output vector, BitAddressIndex::probe allocates
+// nothing on any of its three strategies (fully bound tag path, wildcard
+// enumeration, directory filtering): the wildcard bit positions live in an
+// inline SmallVector sized past IndexConfig::kMaxTotalBits. The exhaustive
+// index optimizer allocates nothing per non-improving candidate.
 //
 // Instrumented with replacement global new/delete that count only while a
 // thread-local flag is up; everything outside the `AllocTracker` scopes
@@ -20,24 +16,21 @@
 #include <vector>
 
 #include "../test_util.hpp"
+#include "common/cost_meter.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/index_optimizer.hpp"
+#include "telemetry/telemetry.hpp"
 
 namespace {
 
 struct AllocStats {
   bool tracking = false;
   std::uint64_t count = 0;
-  std::uint64_t bytes = 0;
-  std::size_t peak_single = 0;  ///< largest single allocation seen
 };
 thread_local AllocStats g_alloc;
 
-void note_alloc(std::size_t size) {
-  if (!g_alloc.tracking) return;
-  ++g_alloc.count;
-  g_alloc.bytes += size;
-  if (size > g_alloc.peak_single) g_alloc.peak_single = size;
+void note_alloc() {
+  if (g_alloc.tracking) ++g_alloc.count;
 }
 
 }  // namespace
@@ -46,21 +39,21 @@ void note_alloc(std::size_t size) {
 // overloads are deliberately not replaced: the default ones pair with the
 // default aligned deletes, and nothing on the probe path over-aligns.
 void* operator new(std::size_t size) {
-  note_alloc(size);
+  note_alloc();
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new[](std::size_t size) {
-  note_alloc(size);
+  note_alloc();
   if (void* p = std::malloc(size != 0 ? size : 1)) return p;
   throw std::bad_alloc();
 }
 void* operator new(std::size_t size, const std::nothrow_t&) noexcept {
-  note_alloc(size);
+  note_alloc();
   return std::malloc(size != 0 ? size : 1);
 }
 void* operator new[](std::size_t size, const std::nothrow_t&) noexcept {
-  note_alloc(size);
+  note_alloc();
   return std::malloc(size != 0 ? size : 1);
 }
 void operator delete(void* p) noexcept { std::free(p); }
@@ -91,104 +84,64 @@ class AllocTracker {
   }
 };
 
-TEST(ProbeAlloc, WideWildcardBatchMatchesUnbatchedAllocations) {
-  // 12 indexed bits, all wildcard (mask 0): enum_count = 4096, which is
-  // wider than kComboMaterializeCap (1024) — the group must take the lazy
-  // enumeration path. Fill every one of the 4096 buckets so the
-  // enumerate-vs-filter choice (enum_count <= occupied buckets) actually
-  // picks enumeration, the regime the old code materialized combos in.
+TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
   const JoinAttributeSet jas({0, 1, 2});
-  const IndexConfig config({4, 4, 4});
-  BitAddressIndex idx(jas, config, BitMapper::hashing(3));
-  testutil::TuplePool pool(60000, 3, /*domain=*/1 << 20, /*seed=*/99);
-  for (const Tuple* t : pool.pointers()) idx.insert(t);
-  ASSERT_EQ(idx.occupancy().occupied, 4096u)
-      << "precondition: every bucket occupied, else the strategy flips to "
-         "directory filtering and the regression regime is not exercised";
+  const IndexConfig config({4, 4, 4});  // 12 indexed bits
+  CostMeter meter;
+  telemetry::Telemetry tel;
+  // Dense: every one of the 4096 bucket ids is occupied, so a probe with
+  // all 12 bits wildcard (enum_count 4096 <= occupied) enumerates.
+  BitAddressIndex dense(jas, config, BitMapper::hashing(3), &meter);
+  dense.bind_telemetry(&tel, "dense");
+  testutil::TuplePool dense_pool(60000, 3, /*domain=*/1 << 20, /*seed=*/99);
+  for (const Tuple* t : dense_pool.pointers()) dense.insert(t);
+  ASSERT_EQ(dense.occupancy().occupied, 4096u)
+      << "precondition: every bucket occupied, else the wildcard probe "
+         "filters instead of enumerating";
+  // Sparse: at most 100 occupied buckets, so the same probe filters.
+  BitAddressIndex sparse(jas, config, BitMapper::hashing(3), &meter);
+  sparse.bind_telemetry(&tel, "sparse");
+  testutil::TuplePool sparse_pool(100, 3, /*domain=*/1 << 20, /*seed=*/7);
+  for (const Tuple* t : sparse_pool.pointers()) sparse.insert(t);
 
-  constexpr std::size_t kBatch = 8;
-  std::vector<ProbeKey> keys(kBatch);
-  for (auto& key : keys) {
-    key.mask = 0;  // full fan-out: 12 wildcard bits
-    key.values = {0, 0, 0};
-  }
+  const Tuple& first = *dense_pool.at(0);
+  ProbeKey bound;  // every JAS attribute bound: one bucket, tag compare
+  bound.mask = 0b111;
+  bound.values = {first.at(0), first.at(1), first.at(2)};
+  ProbeKey wildcard;  // nothing bound: 12 wildcard bits
+  wildcard.mask = 0;
+  wildcard.values = {0, 0, 0};
 
-  // Warm-up pass sizes the output vectors so the tracked passes below see
-  // only the probe machinery's own allocations, not result growth (which
-  // is identical on both paths by the probe_batch contract).
-  std::vector<std::vector<const Tuple*>> outs_single(kBatch),
-      outs_batched(kBatch);
-  std::vector<ProbeStats> stats(kBatch);
-  idx.probe_batch(keys.data(), kBatch, outs_single.data(), stats.data());
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    outs_batched[i].reserve(outs_single[i].size());
-    const std::size_t want = outs_single[i].size();
-    outs_single[i].clear();
-    outs_single[i].reserve(want);
-  }
-
-  AllocStats unbatched;
-  {
-    AllocTracker tracker;
-    for (std::size_t i = 0; i < kBatch; ++i) {
-      stats[i] = idx.probe(keys[i], outs_single[i]);
+  // Allocations of one probe after a warm-up probe has sized `out`.
+  const auto tracked_allocs = [](BitAddressIndex& idx, const ProbeKey& key) {
+    std::vector<const Tuple*> out;
+    idx.probe(key, out);
+    const std::size_t warm_matches = out.size();
+    out.clear();
+    ProbeStats stats;
+    AllocStats allocs;
+    {
+      AllocTracker tracker;
+      stats = idx.probe(key, out);
+      allocs = tracker.stop();
     }
-    unbatched = tracker.stop();
-  }
-  AllocStats batched;
-  {
-    AllocTracker tracker;
-    idx.probe_batch(keys.data(), kBatch, outs_batched.data(), stats.data());
-    batched = tracker.stop();
-  }
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    ASSERT_EQ(outs_batched[i], outs_single[i]) << "key " << i;
-  }
+    EXPECT_GT(stats.matches, 0u);
+    EXPECT_EQ(stats.matches, warm_matches);
+    return allocs.count;
+  };
+  EXPECT_EQ(tracked_allocs(dense, bound), 0u) << "fully bound tag path";
+  EXPECT_EQ(tracked_allocs(dense, wildcard), 0u) << "wildcard enumeration";
+  EXPECT_EQ(tracked_allocs(sparse, wildcard), 0u) << "directory filtering";
 
-  // The old code's single combos allocation was enum_count * 8 = 32 KiB.
-  // The lazy path's largest allocation is batch bookkeeping (group table,
-  // hash-map node) — assert it stays an order of magnitude below a full
-  // materialization, and that total batched bytes stay in the same league
-  // as the unbatched passes rather than scaling with 2^wildcard_bits.
-  constexpr std::size_t kFullMaterialization = 4096 * sizeof(BucketId);
-  EXPECT_LT(batched.peak_single, kFullMaterialization / 4)
-      << "batched probe transiently allocated a combo-vector-sized block";
-  EXPECT_LE(batched.bytes, unbatched.bytes + kFullMaterialization / 4)
-      << "batched probe allocates far more than the unbatched equivalent";
-}
-
-TEST(ProbeAlloc, NarrowWildcardMayMaterializeUnderCap) {
-  // 8 wildcard bits (256 combos) is under the cap: materialization is
-  // allowed but must be bounded by enum_count, never beyond it.
-  const JoinAttributeSet jas({0, 1, 2});
-  const IndexConfig config({4, 4, 0});
-  BitAddressIndex idx(jas, config, BitMapper::hashing(3));
-  testutil::TuplePool pool(4000, 3, /*domain=*/1 << 20, /*seed=*/7);
-  for (const Tuple* t : pool.pointers()) idx.insert(t);
-  ASSERT_GE(idx.occupancy().occupied, 256u);
-
-  constexpr std::size_t kBatch = 4;
-  std::vector<ProbeKey> keys(kBatch);
-  for (auto& key : keys) {
-    key.mask = 0;
-    key.values = {0, 0, 0};
-  }
-  std::vector<std::vector<const Tuple*>> outs(kBatch);
-  std::vector<ProbeStats> stats(kBatch);
-  idx.probe_batch(keys.data(), kBatch, outs.data(), stats.data());
-  for (std::size_t i = 0; i < kBatch; ++i) {
-    outs[i].clear();
-    outs[i].reserve(pool.size());
-  }
-
-  AllocStats batched;
-  {
-    AllocTracker tracker;
-    idx.probe_batch(keys.data(), kBatch, outs.data(), stats.data());
-    batched = tracker.stop();
-  }
-  EXPECT_LE(batched.peak_single, 256 * sizeof(BucketId) + 64)
-      << "under-cap materialization exceeded one combo table";
+  // Each case took the strategy it names (a fully bound probe counts as
+  // enumerated: enum_count 1 <= occupied).
+  const auto counter = [&tel](const char* name) {
+    return tel.metrics().find_counter(name)->value();
+  };
+  EXPECT_EQ(counter("dense.probe.enumerated"), 4u);
+  EXPECT_EQ(counter("dense.probe.filtered"), 0u);
+  EXPECT_EQ(counter("sparse.probe.enumerated"), 0u);
+  EXPECT_EQ(counter("sparse.probe.filtered"), 2u);
 }
 
 TEST(ProbeAlloc, ExhaustiveOptimizerAllocationsDoNotGrowWithLeaves) {

@@ -1,12 +1,10 @@
 // The enumerate-vs-filter crossover, pinned at its exact boundary: a
 // wildcard probe enumerates the 2^wildcard_bits combinations iff
 // enum_count <= occupied buckets, otherwise it filters the directory.
-// probe() and probe_batch() compute the strategy independently (probe per
-// call, probe_batch once per mask group), so this test drives the occupied
-// count through enum_count - 1, enum_count and enum_count + 1 and asserts
-// both paths pick the same strategy, visit the same buckets and charge the
-// same meter counts at every step. Plus the pow2_saturating extremes that
-// guarantee very wide wildcards can never flip back to enumeration.
+// This test drives the occupied count through enum_count - 1, enum_count
+// and enum_count + 1 and asserts probe() picks the expected strategy at
+// every step. Plus the pow2_saturating extremes that guarantee very wide
+// wildcards can never flip back to enumeration.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -66,18 +64,6 @@ class BoundaryFixture {
     return {enumerated_->value() - e0, filtered_->value() - f0};
   }
 
-  StrategyDelta probe_batch_once(const std::vector<ProbeKey>& keys,
-                                 std::vector<std::vector<const Tuple*>>& outs,
-                                 std::vector<ProbeStats>& stats) {
-    const std::uint64_t e0 = enumerated_->value();
-    const std::uint64_t f0 = filtered_->value();
-    idx_.probe_batch(keys.data(), keys.size(), outs.data(), stats.data());
-    return {enumerated_->value() - e0, filtered_->value() - f0};
-  }
-
-  BitAddressIndex& index() { return idx_; }
-  CostMeter& meter() { return meter_; }
-
  private:
   CostMeter meter_;
   telemetry::Telemetry tel_;
@@ -85,18 +71,6 @@ class BoundaryFixture {
   const telemetry::Counter* enumerated_ = nullptr;
   const telemetry::Counter* filtered_ = nullptr;
   std::vector<std::unique_ptr<Tuple>> owned_;
-};
-
-struct MeterSnapshot {
-  std::uint64_t hashes, compares, bucket_visits;
-  explicit MeterSnapshot(const CostMeter& m)
-      : hashes(m.hashes()),
-        compares(m.compares()),
-        bucket_visits(m.bucket_visits()) {}
-  bool operator==(const MeterSnapshot& o) const {
-    return hashes == o.hashes && compares == o.compares &&
-           bucket_visits == o.bucket_visits;
-  }
 };
 
 TEST(ProbeStrategyBoundary, CrossoverFlipsExactlyAtOccupancy) {
@@ -118,9 +92,9 @@ TEST(ProbeStrategyBoundary, CrossoverFlipsExactlyAtOccupancy) {
     BoundaryFixture fx;
     fx.fill_to_occupancy(step.occupancy);
 
-    std::vector<const Tuple*> single;
-    ProbeStats single_stats;
-    const StrategyDelta sd = fx.probe_once(key, single, single_stats);
+    std::vector<const Tuple*> out;
+    ProbeStats stats;
+    const StrategyDelta sd = fx.probe_once(key, out, stats);
     EXPECT_EQ(sd.enumerated, step.expect_enumerate ? 1u : 0u)
         << "occupancy " << step.occupancy;
     EXPECT_EQ(sd.filtered, step.expect_enumerate ? 0u : 1u)
@@ -130,56 +104,12 @@ TEST(ProbeStrategyBoundary, CrossoverFlipsExactlyAtOccupancy) {
     // bits (a data-dependent subset of the occupancy). The strategy
     // counters above, not the visit count, pin the choice.
     if (step.expect_enumerate) {
-      EXPECT_EQ(single_stats.buckets_visited, kEnumCount)
+      EXPECT_EQ(stats.buckets_visited, kEnumCount)
           << "occupancy " << step.occupancy;
     } else {
-      EXPECT_LE(single_stats.buckets_visited, step.occupancy)
+      EXPECT_LE(stats.buckets_visited, step.occupancy)
           << "occupancy " << step.occupancy;
     }
-
-    // probe_batch must make the identical choice per key, replay the same
-    // bucket visits, and charge the same meter counts as sequential
-    // probes. Mixed batch: the boundary mask plus a fully-bound key, so
-    // the group machinery runs alongside the degenerate path.
-    ProbeKey bound;
-    bound.mask = 0b111;
-    bound.values = {1, 2, 3};
-    const std::vector<ProbeKey> keys = {key, bound, key};
-
-    fx.meter().reset_counts();
-    std::vector<std::vector<const Tuple*>> seq_outs(keys.size());
-    std::vector<ProbeStats> seq_stats(keys.size());
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      seq_stats[i] = fx.index().probe(keys[i], seq_outs[i]);
-    }
-    const MeterSnapshot seq_meter(fx.meter());
-
-    fx.meter().reset_counts();
-    std::vector<std::vector<const Tuple*>> batch_outs(keys.size());
-    std::vector<ProbeStats> batch_stats(keys.size());
-    const StrategyDelta bd = fx.probe_batch_once(keys, batch_outs, batch_stats);
-    const MeterSnapshot batch_meter(fx.meter());
-
-    // The fully-bound key always lands on the enumerated counter
-    // (enum_count == 1 <= occupancy), so the batch tallies 2 boundary keys
-    // plus 1 bound key.
-    EXPECT_EQ(bd.enumerated, step.expect_enumerate ? 3u : 1u)
-        << "occupancy " << step.occupancy;
-    EXPECT_EQ(bd.filtered, step.expect_enumerate ? 0u : 2u)
-        << "occupancy " << step.occupancy;
-    for (std::size_t i = 0; i < keys.size(); ++i) {
-      EXPECT_EQ(batch_outs[i], seq_outs[i])
-          << "occupancy " << step.occupancy << ", key " << i;
-      EXPECT_EQ(batch_stats[i].buckets_visited, seq_stats[i].buckets_visited)
-          << "occupancy " << step.occupancy << ", key " << i;
-      EXPECT_EQ(batch_stats[i].tuples_compared, seq_stats[i].tuples_compared)
-          << "occupancy " << step.occupancy << ", key " << i;
-      EXPECT_EQ(batch_stats[i].matches, seq_stats[i].matches)
-          << "occupancy " << step.occupancy << ", key " << i;
-    }
-    EXPECT_TRUE(batch_meter == seq_meter)
-        << "occupancy " << step.occupancy
-        << ": batched charges diverge at the strategy boundary";
   }
 }
 

@@ -197,5 +197,17 @@ TEST(ShardedBitIndex, TargetShardRequiresShardAttrBound) {
   EXPECT_LT(idx.target_shard(bound), idx.shard_count());
 }
 
+// A fan-out probe sums its per-shard statistics with +=.
+TEST(ProbeStats, AccumulatesComponentwise) {
+  ProbeStats a{1, 2, 3};
+  const ProbeStats b{10, 20, 30};
+  a += b;
+  EXPECT_EQ(a.buckets_visited, 11u);
+  EXPECT_EQ(a.tuples_compared, 22u);
+  EXPECT_EQ(a.matches, 33u);
+  (a += b) += b;  // returns *this, so accumulation chains
+  EXPECT_EQ(a.matches, 93u);
+}
+
 }  // namespace
 }  // namespace amri::index

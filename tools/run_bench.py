@@ -44,16 +44,14 @@ SCHEMA = "amri-bench-v1"
 # Default bench set: the index hot-path microbench (the directory's raison
 # d'etre), the assessment microbench (tuner hot path), the sharded-state
 # microbench (probe churn / fan-out / migration across shard counts), the
-# batched-pipeline microbench (probe_batch amortisation, batch x shards),
-# the wall-pipeline microbench (end-to-end churn, virtual vs wall engine
-# mode at equal batch sizes), the
-# adversarial scenario matrix (every named scenario x guardrails off/on;
-# migrations, suppressions, end-state probe cost), and the multi-query
-# ablation (queries x shards x batch grid over shared states plus the
-# shared-vs-independent peak-memory comparison).
+# wall-pipeline microbench (end-to-end churn, virtual vs wall engine mode
+# at equal batch sizes), the adversarial scenario matrix (every named
+# scenario x guardrails off/on; migrations, suppressions, end-state probe
+# cost), and the multi-query ablation (queries x shards x batch grid over
+# shared states plus the shared-vs-independent peak-memory comparison).
 DEFAULT_BENCHES = ["micro_index_ops", "micro_assessment", "micro_sharded_stem",
-                   "micro_batch_pipeline", "micro_wall_pipeline",
-                   "adversarial_suite", "ablation_multiquery"]
+                   "micro_wall_pipeline", "adversarial_suite",
+                   "ablation_multiquery"]
 
 # Per-binary extra key=value args appended after the smoke-scale defaults
 # (Config is last-wins, so these override).  adversarial_suite's headline
@@ -200,8 +198,9 @@ def self_test() -> int:
               == "micro_sharded_stem/BM_ShardedStem_ProbeChurn/shards:4",
               "shard extraction preserves the prefixed bench name")
 
-        # Batch-size extraction, alone and combined with a shard count (the
-        # micro_batch_pipeline sweep emits "batch:N/shards:M" names).
+        # Batch-size extraction, alone and combined with a shard count
+        # ("batch:N/shards:M" names, as in committed BENCH files from the
+        # since-deleted batch-pipeline microbench).
         batched_raw = [
             {"bench": "BM_BatchPipeline_ProbeChurn/batch:64/shards:4",
              "metric": "items_per_second", "value": 40.0},

@@ -140,7 +140,7 @@ class CostParityTest(unittest.TestCase):
         self.assertEqual(rules_of(findings), [])
 
     def test_virtual_delegate_to_declared_only_entry(self):
-        # Mirrors TupleIndex's default probe_batch: the loop body calls a
+        # A default batch loop on an interface: the loop body calls a
         # pure-virtual probe(), which charges in the implementation.
         findings, _, _ = run(
             "class TupleIndex {\n"
