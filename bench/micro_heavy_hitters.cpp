@@ -1,8 +1,7 @@
 // MICRO-HH — ingest cost of the heavy-hitter machinery behind the
-// assessment methods: Lossy Counting (CSRIA), Misra–Gries [25],
-// SpaceSaving, and the lattice-based hierarchical heavy hitter (CDIA),
-// under skewed and uniform access-pattern streams. Counters report the
-// retained table size.
+// assessment methods: Lossy Counting (CSRIA) and the lattice-based
+// hierarchical heavy hitter (CDIA), under skewed and uniform access-pattern
+// streams. Counters report the retained table size.
 #include <benchmark/benchmark.h>
 
 #include "bench_json.hpp"
@@ -12,8 +11,6 @@
 #include "common/rng.hpp"
 #include "stats/hierarchical_hh.hpp"
 #include "stats/lossy_counting.hpp"
-#include "stats/misra_gries.hpp"
-#include "stats/space_saving.hpp"
 
 namespace {
 
@@ -50,34 +47,6 @@ void BM_LossyCounting(benchmark::State& state) {
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kN));
 }
 BENCHMARK(BM_LossyCounting)->Arg(0)->Arg(1);
-
-void BM_MisraGries(benchmark::State& state) {
-  const auto stream = make_stream(kN, state.range(0) != 0, 2);
-  std::size_t table = 0;
-  for (auto _ : state) {
-    MisraGries<AttrMask> mg(100);
-    for (const AttrMask m : stream) mg.observe(m);
-    table = mg.size();
-    benchmark::DoNotOptimize(table);
-  }
-  state.counters["table"] = static_cast<double>(table);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kN));
-}
-BENCHMARK(BM_MisraGries)->Arg(0)->Arg(1);
-
-void BM_SpaceSaving(benchmark::State& state) {
-  const auto stream = make_stream(kN, state.range(0) != 0, 3);
-  std::size_t table = 0;
-  for (auto _ : state) {
-    SpaceSaving<AttrMask> ss(100);
-    for (const AttrMask m : stream) ss.observe(m);
-    table = ss.size();
-    benchmark::DoNotOptimize(table);
-  }
-  state.counters["table"] = static_cast<double>(table);
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations() * kN));
-}
-BENCHMARK(BM_SpaceSaving)->Arg(0)->Arg(1);
 
 void BM_HierarchicalHH(benchmark::State& state) {
   const auto stream = make_stream(kN, state.range(0) != 0, 4);

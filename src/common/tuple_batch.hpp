@@ -19,15 +19,15 @@
 
 namespace amri {
 
-/// Per-root sequence horizon for wall-mode cross-run batching: maps each
+/// Per-arrival sequence horizon for wall-mode cross-run batching: maps each
 /// stored tuple of the batch being routed to its batch index. The router
-/// skips any probe match whose batch index is >= the probing partial's root
-/// index, so root i sees exactly the window state sequential execution
+/// skips any probe match whose batch index is >= the routed arrival's
+/// index, so arrival i sees exactly the window state sequential execution
 /// would have shown it (earlier arrivals j < i inserted, later ones not
 /// yet) even though the whole mixed-stream batch was inserted up front and
-/// routed as one partition. This replaces same-stream run splitting
-/// (run_end below) in wall mode: mixed-stream arrivals still form one
-/// large routed partition instead of many tiny per-stream runs.
+/// routed as one segment. This replaces same-stream run splitting
+/// (run_end below) in wall mode: mixed-stream arrivals form one routed
+/// segment instead of many tiny per-stream runs.
 struct BatchVisibility {
   std::unordered_map<const Tuple*, std::uint32_t> order;
 
@@ -39,21 +39,12 @@ struct BatchVisibility {
     }
   }
 
-  /// May the partial rooted at batch order `root` see match `m`? True for
-  /// every tuple outside the current batch (earlier batches, fully
-  /// inserted) and for batch members that arrived before the root.
+  /// May the arrival at batch order `root` see match `m`? True for every
+  /// tuple outside the current batch (earlier batches, fully inserted) and
+  /// for batch members that arrived before the root.
   bool visible_to(const Tuple* m, std::size_t root) const {
     const auto it = order.find(m);
     return it == order.end() || it->second < root;
-  }
-
-  /// Batch order of `stored`, or `fallback` when it is not a member of the
-  /// horizon. Multi-query routing passes per-query sub-arrays of the batch
-  /// whose local indices are NOT batch orders; the router resolves each
-  /// root's true order here so the horizon stays in full-batch coordinates.
-  std::uint32_t order_of(const Tuple* stored, std::uint32_t fallback) const {
-    const auto it = order.find(stored);
-    return it != order.end() ? it->second : fallback;
   }
 };
 

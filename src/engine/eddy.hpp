@@ -32,9 +32,9 @@ struct EddyOptions {
   std::size_t max_partials_per_arrival = 1u << 20;
   /// A routing decision for a given done-mask is reused for the next
   /// `decision_reuse - 1` partials with the same mask, amortising the
-  /// per-decision cost. (Renamed from `batch_size` so the executor-level
-  /// `--batch-size` — how many arrivals move through the pipeline together
-  /// — is unambiguous; this knob only caches the policy choice.)
+  /// per-decision cost. It caches only the policy choice; how many
+  /// arrivals move through the pipeline together is the executor's
+  /// `--batch-size`.
   std::size_t decision_reuse = 1;
   /// Registry prefix for this router's counters ("<prefix>.decisions",
   /// ".results", ".partials_truncated", ".route_changes"). Multi-query
@@ -51,9 +51,6 @@ struct JoinResult {
 
 class EddyRouter {
  public:
-  /// route_batch: no batch member carries the active trace span.
-  static constexpr std::size_t kNoSpanRoot = static_cast<std::size_t>(-1);
-
   /// `stems[s]` must be the STeM of stream s. Optional `sink` collects
   /// complete results (null = count only). With `telemetry` set, routing
   /// decisions are counted and every change of routing target for a given
@@ -70,43 +67,27 @@ class EddyRouter {
     position_maps_ = std::move(maps);
   }
 
-  /// Route an arrival that was already inserted into its own STeM as
-  /// `stored`. Returns the number of complete results produced.
+  /// Route one arrival that was already inserted into its own STeM as
+  /// `stored`, depth first: the policy is consulted for every partial
+  /// (subject to decision_reuse) and the routing statistics are updated
+  /// after every probe. Returns the number of complete results produced;
+  /// `sink`, when set, receives them.
+  ///   * `done`: streams the arrival already covers; its own stream is
+  ///     always added.
+  ///   * `span`: the arrival's trace span id, or 0 when it is not traced.
+  ///     A traced arrival emits a "hop" span event per probe and a
+  ///     "truncate" event if its valve trips.
+  ///   * `visibility`, `order`: wall mode's sequence horizon. Probe matches
+  ///     that are members of the batch at order >= `order` are dropped
+  ///     before the WHERE re-check, so the arrival sees the window state
+  ///     sequential execution would show it although the whole batch was
+  ///     inserted up front. The dropped comparisons were still performed
+  ///     and charged. Null keeps every match.
   std::uint64_t route(const Tuple* stored,
-                      std::vector<JoinResult>* sink = nullptr);
-
-  /// Route a batch of `n` same-stream arrivals (already inserted into
-  /// their STeM; `done[i]` is arrival i's initial done-mask, normally
-  /// `1 << stream`). Processes the join expansion level by level,
-  /// partitioning each level's partials on done-mask: one routing decision
-  /// serves a whole partition (the decision cache is consumed once per
-  /// partial, so fresh-decision counts — and route charges — match n
-  /// sequential route() calls exactly for deterministic policies), and the
-  /// partition's probes go through StemOperator::probe_batch. Same-stream
-  /// is what makes this equivalent to sequential routing: no partial
-  /// rooted at stream s ever probes stream s, so every probe sees windows
-  /// that are static for the whole batch. Returns results produced.
-  /// Caveats (docs/architecture.md): stochastic policies draw once per
-  /// partition instead of once per partial, and the per-arrival truncation
-  /// valve cuts a different partial *set* (never a different count
-  /// threshold) when a join explodes mid-batch.
-  /// `span_root`, when not kNoSpanRoot, names the batch index whose
-  /// partials belong to the telemetry's active trace span: partitions
-  /// touching that arrival emit "hop" span events (and "truncate" if its
-  /// valve trips).
-  /// `visibility` (wall-mode cross-run batching) lifts the same-stream
-  /// requirement: when set, the whole mixed-stream batch may be inserted
-  /// up front and routed as one call — probe matches that are batch
-  /// members with index >= the partial's root are skipped, reproducing the
-  /// window state each root would have seen under sequential execution.
-  /// The skipped comparisons were still performed (and charged), so wall
-  /// mode trades extra modelled probe work for large partitions; join
-  /// results are identical. Null keeps the same-stream contract.
-  std::uint64_t route_batch(const Tuple* const* stored,
-                            const std::uint32_t* done, std::size_t n,
-                            std::vector<JoinResult>* sink = nullptr,
-                            std::size_t span_root = kNoSpanRoot,
-                            const BatchVisibility* visibility = nullptr);
+                      std::vector<JoinResult>* sink = nullptr,
+                      std::uint32_t done = 0, std::uint64_t span = 0,
+                      const BatchVisibility* visibility = nullptr,
+                      std::size_t order = 0);
 
   RoutingStatistics& statistics() { return stats_; }
   const RoutingStatistics& statistics() const { return stats_; }
@@ -132,18 +113,17 @@ class EddyRouter {
   std::uint64_t arrivals_ = 0;
   std::uint64_t results_ = 0;
   std::uint64_t truncated_ = 0;
-  /// Batch-routing cache: done-mask -> (candidate index, remaining uses).
+  /// Decision-reuse cache: done-mask -> (candidate index, remaining uses).
   struct CachedDecision {
     std::size_t pick = 0;
     std::size_t remaining = 0;
   };
   std::unordered_map<std::uint32_t, CachedDecision> decision_cache_;
-  void note_decision(std::uint32_t done_mask, StreamId target,
-                     std::uint64_t count = 1);
-  // Reusable route_batch arenas (capacity persists across batches).
-  std::vector<index::ProbeKey> batch_keys_;
-  std::vector<std::vector<const Tuple*>> batch_outs_;
-  std::vector<index::ProbeStats> batch_stats_;
+  void note_decision(std::uint32_t done_mask, StreamId target);
+  // Routing arenas: cleared per use, capacity kept, so steady-state routing
+  // allocates nothing per partial.
+  std::vector<Partial> stack_;
+  RoutingContext ctx_;
   // Telemetry instruments (null when detached).
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Counter* decisions_counter_ = nullptr;

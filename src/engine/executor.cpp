@@ -10,9 +10,10 @@ namespace amri::engine {
 namespace {
 
 // The single-query routing sink: WHERE admission against the one QuerySpec
-// and routing through the one eddy. The row cap is re-checked per append,
-// rows are collected only after the warm-up boundary, and on_result fires
-// for every complete join result (warm-up included).
+// and routing of every arrival through the one eddy. The row cap is
+// re-checked per append, rows are collected only after the warm-up
+// boundary, and on_result fires for every complete join result (warm-up
+// included).
 class SingleQuerySink final : public RoutingSink {
  public:
   SingleQuerySink(const QuerySpec& query, EddyRouter& eddy,
@@ -27,17 +28,19 @@ class SingleQuerySink final : public RoutingSink {
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
-                            bool measured,
+                            std::uint64_t span, bool measured,
                             const BatchVisibility* visibility) override {
     (void)first;  // one query: every admitted slot routes through eddy_
     const bool want_rows = options_.collect_rows && measured &&
                            rows_.size() < options_.max_collected_rows;
     const bool want_sink = want_rows || options_.on_result != nullptr;
     batch_sink_.clear();
-    const std::uint64_t produced = eddy_.route_batch(
-        stored, done, n, want_sink ? &batch_sink_ : nullptr,
-        span_root == kNoSpanRoot ? EddyRouter::kNoSpanRoot : span_root,
-        visibility);
+    std::uint64_t produced = 0;
+    for (std::size_t j = 0; j < n; ++j) {
+      produced += eddy_.route(stored[j], want_sink ? &batch_sink_ : nullptr,
+                              done[j], j == span_root ? span : 0, visibility,
+                              j);
+    }
     deliver(batch_sink_, want_rows);
     return produced;
   }

@@ -64,18 +64,16 @@ struct ExecutorOptions {
   /// warm-up the executor drains up to this many ready arrivals into a
   /// TupleBatch, expires every window once, then inserts and routes the
   /// batch segment by segment. Warm-up always drains batches of one, so 1
-  /// (the default) moves every arrival on its own. Larger batches amortise
-  /// real dispatch work and charge every shared computation once per tuple
-  /// it serves, but they are not semantics-free:
-  ///   * windows are expired at batch start, so a tuple whose deadline
-  ///     falls inside a batch's virtual-time span survives a few probes
-  ///     longer;
-  ///   * EddyRouter::route_batch consults the routing policy once per
-  ///     done-mask partition, where batch 1 consults it once per partial.
-  ///     Under kCostBased or kLottery routing a larger batch can therefore
-  ///     pick different routes, charge different costs and migrate
-  ///     differently; kFixed routing is unaffected.
-  /// docs/architecture.md, "Where exactness bends", lists every channel.
+  /// (the default) moves every arrival on its own. Batching amortises
+  /// drain, expiry and insert only: the eddy still routes one arrival at a
+  /// time, so every policy makes the same routing decisions, the tuners
+  /// decide at the same requests and the same migrations fire as at batch
+  /// 1. The one divergence is expiry timing: windows are expired at batch
+  /// start, so a tuple whose deadline falls inside a batch's virtual-time
+  /// span survives a few probes longer, and what those probes see can
+  /// move everything downstream. Samples and the end of the run are also
+  /// checked once per batch. docs/architecture.md, "Where exactness
+  /// bends", has the details.
   std::size_t batch_size = 1;
   /// Execution mode (`--engine`): kVirtual routes each same-stream run of
   /// a batch as its own segment; kWall routes the whole post-warm-up batch

@@ -1,6 +1,7 @@
 #include "engine/multi_query.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <stdexcept>
 #include <string>
@@ -17,11 +18,11 @@ namespace {
 // selection in query order (each one charged — every query logically
 // inspects every arrival on its streams) and records the accept set as a
 // per-slot bitmask; an arrival enters the shared state if any query
-// accepts it. Routing walks the queries in order, carving each query's
-// accepted sub-array out of the routed slots and routing it as one call
-// through that query's eddy. Before a query routes, its index is
-// installed as the active attribution target on every shared STeM so probe
-// statistics land in that query's assessor cells.
+// accepts it. Routing is arrival-major: each routed slot goes, in query
+// order, through the eddy of every query that accepted it. Before a query
+// routes, its index is installed as the active attribution target on
+// every shared STeM so probe statistics land in that query's assessor
+// cells.
 class MultiQuerySink final : public RoutingSink {
  public:
   MultiQuerySink(const std::vector<QuerySpec>& queries,
@@ -51,36 +52,27 @@ class MultiQuerySink final : public RoutingSink {
   std::uint64_t route_batch(const Tuple* const* stored,
                             const std::uint32_t* done, std::size_t first,
                             std::size_t n, std::size_t span_root,
-                            bool measured,
+                            std::uint64_t span, bool measured,
                             const BatchVisibility* visibility) override {
+    const bool want_rows = options_.collect_rows && measured &&
+                           rows_.size() < options_.max_collected_rows;
+    const bool want_sink = want_rows || options_.on_result != nullptr;
     std::uint64_t total = 0;
-    for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
-      // Carve query qi's sub-array out of the admitted slots. With a wall
-      // horizon attached, each sub-array root keeps its true full-batch
-      // order (BatchVisibility::order_of via the eddy), so visibility
-      // filtering is unaffected by the carving; matches held for other
-      // queries only are rejected by qi's selection re-verification.
-      sub_stored_.clear();
-      sub_done_.clear();
-      std::size_t sub_root = EddyRouter::kNoSpanRoot;
-      for (std::size_t j = 0; j < n; ++j) {
-        if ((accepts_[first + j] >> qi & 1) == 0) continue;
-        if (j == span_root) sub_root = sub_stored_.size();
-        sub_stored_.push_back(stored[j]);
-        sub_done_.push_back(done[j]);
+    for (std::size_t j = 0; j < n; ++j) {
+      // Matches held for other queries only are rejected by each query's
+      // selection re-verification inside its eddy.
+      for (std::uint64_t accepts = accepts_[first + j]; accepts != 0;
+           accepts &= accepts - 1) {
+        const auto qi = static_cast<std::size_t>(std::countr_zero(accepts));
+        set_active_query(qi);
+        result_sink_.clear();
+        const std::uint64_t produced = eddies_[qi]->route(
+            stored[j], want_sink ? &result_sink_ : nullptr, done[j],
+            j == span_root ? span : 0, visibility, j);
+        if (want_sink) deliver(qi, want_rows);
+        total += produced;
+        per_query_[qi] += produced;
       }
-      if (sub_stored_.empty()) continue;
-      set_active_query(qi);
-      const bool want_rows = options_.collect_rows && measured &&
-                             rows_.size() < options_.max_collected_rows;
-      const bool want_sink = want_rows || options_.on_result != nullptr;
-      result_sink_.clear();
-      const std::uint64_t produced = eddies_[qi]->route_batch(
-          sub_stored_.data(), sub_done_.data(), sub_stored_.size(),
-          want_sink ? &result_sink_ : nullptr, sub_root, visibility);
-      if (want_sink) deliver(qi, want_rows);
-      total += produced;
-      per_query_[qi] += produced;
     }
     return total;
   }
@@ -116,10 +108,7 @@ class MultiQuerySink final : public RoutingSink {
   /// accepted); parallel to the core's TupleBatch.
   std::vector<std::uint64_t> accepts_;
   std::vector<std::uint64_t> per_query_;  ///< cumulative outputs by query
-  // Reusable per-call arenas (capacity persists across batches).
-  std::vector<const Tuple*> sub_stored_;
-  std::vector<std::uint32_t> sub_done_;
-  std::vector<JoinResult> result_sink_;
+  std::vector<JoinResult> result_sink_;  ///< reused per-route result arena
   std::vector<SmallVector<Value, kInlineAttrs>> rows_;
 };
 

@@ -8,8 +8,8 @@
 //
 // Built on the shared run-loop core (engine/run_loop.hpp): a multi-query
 // routing sink admits arrivals against every query's WHERE selection,
-// records per-arrival accept sets, and routes each query's sub-array
-// through that query's eddy. Multi-query runs therefore inherit the full
+// records per-arrival accept sets, and routes each arrival through the
+// eddy of every query that accepted it. Multi-query runs therefore inherit the full
 // single-query feature matrix — sharded states, the batched pipeline, the
 // wall-clock engine, telemetry (per-query labeled metrics, trace spans,
 // profiler phases, per-query sample deltas) and the guardrailed tuner.

@@ -91,8 +91,9 @@ struct Pipeline {
   /// Wall mode routes the whole batch as one segment under `visibility`;
   /// virtual mode routes each same-stream run as its own segment.
   const bool wall = options.engine == EngineMode::kWall;
-  /// Every trace_sample-th drained arrival gets a span id that downstream
-  /// producers (eddy hops, sharded fan-out) pick up via active_span().
+  /// Every trace_sample-th drained arrival gets a span id. The route phase
+  /// hands it to the eddy and resumes it for the sharded fan-out, which
+  /// picks it up via active_span().
   const std::size_t trace_sample = tel != nullptr ? options.trace_sample : 0;
   /// Multi-query sinks: samples carry per-query output deltas past the
   /// warm-up offsets, the same convention as `outputs`.
@@ -347,16 +348,16 @@ void route(Pipeline& p, std::size_t a, std::size_t b) {
     ++p.span_cursor;
   }
   const bool traced = lo < p.span_cursor;
-  // The eddy attaches hop events to one active span per call; the
-  // segment's first sampled arrival carries it. Every sampled arrival still
-  // gets its own insert/done stages and latency observation.
+  // Routing hops are traced for one arrival per segment, its first sampled
+  // one. Every sampled arrival still gets its own insert/done stages and
+  // latency observation.
   if (traced) p.tel->resume_span(p.spans[lo].id);
   std::uint64_t produced = 0;
   {
     telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kRoute);
     produced = p.sink.route_batch(
         p.stored.data() + a, p.batch.done.data() + a, a, b - a,
-        traced ? p.spans[lo].index - a : RoutingSink::kNoSpanRoot,
+        traced ? p.spans[lo].index - a : 0, traced ? p.spans[lo].id : 0,
         p.warmup_done, p.wall ? &p.visibility : nullptr);
   }
   p.outputs_total += produced;

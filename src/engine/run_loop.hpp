@@ -58,14 +58,14 @@ inline constexpr std::size_t kQueueBytesPerTuple = sizeof(Tuple) + 16;
 /// Query-specific half of the pipeline, implemented by each executor:
 /// WHERE admission and eddy routing. The run loop owns batching, expiry,
 /// insertion, sampling and accounting; the sink owns everything that needs
-/// a QuerySpec. Multi-query sinks additionally remember, per admitted
-/// batch slot, which queries accepted the arrival, and route each query's
-/// sub-array through that query's eddy.
+/// a QuerySpec. A sink routes a segment one arrival at a time, in slot
+/// order, through EddyRouter::route, so batching amortises drain, expiry
+/// and insert but never changes a routing decision. Multi-query sinks
+/// additionally remember, per admitted batch slot, which queries accepted
+/// the arrival, and route each arrival through the eddy of every query
+/// that accepted it, in query order.
 class RoutingSink {
  public:
-  /// route_batch: no member of the routed span carries the active span.
-  static constexpr std::size_t kNoSpanRoot = static_cast<std::size_t>(-1);
-
   virtual ~RoutingSink() = default;
 
   /// True when samples should carry per-query output deltas
@@ -85,15 +85,17 @@ class RoutingSink {
   /// Route the admitted batch slots [first, first + n): `stored[j]` /
   /// `done[j]` describe slot first + j. With `visibility` null this is a
   /// same-stream run (virtual mode); set, it is the whole mixed-stream
-  /// batch under the wall-mode sequence horizon. `span_root`, when not
-  /// kNoSpanRoot, is the index in [0, n) carrying the active trace span.
-  /// `measured` is true after the warm-up boundary: only measured results
-  /// are collected as rows (on_result sees every result). Returns complete
-  /// results produced.
+  /// batch under the wall-mode sequence horizon, and j is each arrival's
+  /// batch order. `span`, when nonzero, is the trace span id of the one
+  /// traced arrival, the one at index `span_root` in [0, n). `measured` is
+  /// true after the warm-up boundary: only measured results are collected
+  /// as rows (on_result sees every result). Returns complete results
+  /// produced.
   virtual std::uint64_t route_batch(const Tuple* const* stored,
                                     const std::uint32_t* done,
                                     std::size_t first, std::size_t n,
-                                    std::size_t span_root, bool measured,
+                                    std::size_t span_root, std::uint64_t span,
+                                    bool measured,
                                     const BatchVisibility* visibility) = 0;
 
   /// Append cumulative per-query outputs (multi-query sinks; the run loop

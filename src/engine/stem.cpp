@@ -138,9 +138,6 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
     probe_cost_hist_ = &reg.histogram(
         prefix + ".probe.cost_us",
         telemetry::Histogram::exponential_bounds(0.05, 2.0, 16));
-    batch_size_hist_ = &reg.histogram(
-        prefix + ".probe.batch_size",
-        telemetry::Histogram::exponential_bounds(1.0, 2.0, 12));
   }
 }
 
@@ -262,147 +259,55 @@ telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
 
 index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
                                       std::vector<const Tuple*>& out) {
-  index::ProbeStats stats;
-  probe_chunk(&key, 1, &out, &stats);
-  return stats;
-}
-
-void StemOperator::probe_batch(const index::ProbeKey* keys, std::size_t n,
-                               std::vector<const Tuple*>* outs,
-                               index::ProbeStats* stats) {
-  if (n == 0) return;
-  if (batch_size_hist_ != nullptr) {
-    batch_size_hist_->observe(static_cast<double>(n));
-  }
-  std::size_t pos = 0;
-  while (pos < n) {
-    std::size_t chunk = n - pos;
-    if (continuous_tuning_) {
-      // Stop the chunk at the tuner's decision boundary so a mid-batch
-      // tuning decision fires at exactly the same request index as
-      // tuple-at-a-time execution would fire it.
-      std::uint64_t until = 0;
-      if (amri_tuner_ != nullptr) {
-        until = amri_tuner_->requests_until_due();
-      } else if (module_tuner_ != nullptr) {
-        until = module_tuner_->requests_until_due();
-      }
-      if (until == 0) until = 1;  // already due: decide after one request
-      if (until < chunk) chunk = static_cast<std::size_t>(until);
-    }
-    probe_chunk(keys + pos, chunk, outs + pos, stats + pos);
-    pos += chunk;
-  }
-}
-
-void StemOperator::probe_chunk(const index::ProbeKey* keys, std::size_t n,
-                               std::vector<const Tuple*>* outs,
-                               index::ProbeStats* stats) {
-  probes_ += n;
+  ++probes_;
   const double charged_before =
       (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
+  index::ProbeStats stats;
   {
     telemetry::ScopedPhase probe_scope(profiler_, telemetry::Phase::kProbe);
-    for (std::size_t i = 0; i < n; ++i) {
-      stats[i] = index_->probe(keys[i], outs[i]);
-    }
+    stats = index_->probe(key, out);
   }
   if (telemetry_ != nullptr) {
-    probe_counter_->add(n);
+    probe_counter_->add();
     if (meter_ != nullptr) {
-      // A batch's modelled latency is charged as one aggregate, so each
-      // key's histograms receive the chunk average — observation counts
-      // stay identical to the tuple-at-a-time engine.
-      const double total = meter_->charged_us() - charged_before;
-      const double avg = total / static_cast<double>(n);
-      for (std::size_t i = 0; i < n; ++i) {
-        probe_cost_hist_->observe(avg);
-        pattern_histogram(keys[i].mask)->observe(avg);
-      }
+      const double cost = meter_->charged_us() - charged_before;
+      probe_cost_hist_->observe(cost);
+      pattern_histogram(key.mask)->observe(cost);
       // Feed the tuner's realized-cost accumulator before any decision
       // below closes the epoch.
-      if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(total, n);
+      if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(cost);
     }
   }
   if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    // Weighted assessment: one observe per (grid slot, access pattern)
-    // group in the active query's row. Shard slots are computed with the
-    // exact sequential attribution sequence (target shard, else the
-    // deterministic round-robin), so the merged assessment matches n
-    // single probes bit-for-bit for the additive assessors.
-    struct SlotObs {
-      std::size_t slot;
-      AttrMask mask;
-      std::uint64_t weight;
-    };
-    SmallVector<SlotObs, 16> groups;
-    const std::size_t row = active_query_ * shard_slots_;
-    for (std::size_t i = 0; i < n; ++i) {
-      std::size_t shard_slot = 0;
-      if (sharded_index_ != nullptr) {
-        const std::size_t target = sharded_index_->target_shard(keys[i]);
-        shard_slot =
-            target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
-      }
-      const std::size_t slot = row + shard_slot;
-      bool found = false;
-      for (SlotObs& o : groups) {
-        if (o.slot == slot && o.mask == keys[i].mask) {
-          ++o.weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) groups.push_back(SlotObs{slot, keys[i].mask, 1});
+    // Assess in the active query's row of the grid: the target shard's
+    // cell, or the deterministic round-robin for a fan-out probe.
+    std::size_t shard_slot = 0;
+    if (sharded_index_ != nullptr) {
+      const std::size_t target = sharded_index_->target_shard(key);
+      shard_slot = target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
     }
-    for (const SlotObs& o : groups) {
-      shard_assessors_[o.slot]->observe(o.mask, o.weight);
-    }
-    if (!epoch_query_requests_.empty()) {
-      epoch_query_requests_[active_query_] += n;
-    }
-    amri_tuner_->note_request(n);
+    shard_assessors_[active_query_ * shard_slots_ + shard_slot]->observe(
+        key.mask);
+    if (!epoch_query_requests_.empty()) ++epoch_query_requests_[active_query_];
+    amri_tuner_->note_request();
     sync_stats_memory();
+    if (continuous_tuning_ && amri_tuner_->tuning_due()) merged_tune();
+  } else if (amri_tuner_ != nullptr) {
+    amri_tuner_->observe_request(key.mask);
     if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      merged_tune();
+      telemetry::ScopedPhase tune_scope(profiler_,
+                                        telemetry::Phase::kTunerEpoch);
+      amri_tuner_->maybe_tune(*bit_index_);
     }
-  } else if (amri_tuner_ != nullptr || module_tuner_ != nullptr) {
-    struct MaskObs {
-      AttrMask mask;
-      std::uint64_t weight;
-    };
-    SmallVector<MaskObs, 8> groups;
-    for (std::size_t i = 0; i < n; ++i) {
-      bool found = false;
-      for (MaskObs& o : groups) {
-        if (o.mask == keys[i].mask) {
-          ++o.weight;
-          found = true;
-          break;
-        }
-      }
-      if (!found) groups.push_back(MaskObs{keys[i].mask, 1});
-    }
-    if (amri_tuner_ != nullptr) {
-      for (const MaskObs& o : groups) {
-        amri_tuner_->observe_request(o.mask, o.weight);
-      }
-      if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-        telemetry::ScopedPhase tune_scope(profiler_,
-                                          telemetry::Phase::kTunerEpoch);
-        amri_tuner_->maybe_tune(*bit_index_);
-      }
-    } else {
-      for (const MaskObs& o : groups) {
-        module_tuner_->observe_request(o.mask, o.weight);
-      }
-      if (continuous_tuning_ && module_tuner_->tuning_due()) {
-        telemetry::ScopedPhase tune_scope(profiler_,
-                                          telemetry::Phase::kTunerEpoch);
-        module_tuner_->maybe_tune(*module_index_);
-      }
+  } else if (module_tuner_ != nullptr) {
+    module_tuner_->observe_request(key.mask);
+    if (continuous_tuning_ && module_tuner_->tuning_due()) {
+      telemetry::ScopedPhase tune_scope(profiler_,
+                                        telemetry::Phase::kTunerEpoch);
+      module_tuner_->maybe_tune(*module_index_);
     }
   }
+  return stats;
 }
 
 void StemOperator::merged_tune() {

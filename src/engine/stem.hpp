@@ -102,27 +102,15 @@ class StemOperator {
 
   /// Multi-query mode (StemOptions::queries > 1): attribute subsequent
   /// probes to query `qi`'s assessors. The multi-query routing sink sets
-  /// this before routing each query's partials; single-query stems never
+  /// this before each query routes an arrival; single-query stems never
   /// call it (query 0 is the default attribution).
   void set_active_query(std::size_t qi) { active_query_ = qi; }
 
   /// Probe for matches; feeds the access pattern to the tuner (if any) and
-  /// applies due tuning decisions. Matches are appended to `out`. A chunk
-  /// of one key: the same path probe_batch() takes.
+  /// applies a due tuning decision right after the probe. Matches are
+  /// appended to `out`.
   index::ProbeStats probe(const index::ProbeKey& key,
                           std::vector<const Tuple*>& out);
-
-  /// Probe `n` keys: key i's matches are appended to `outs[i]`, its
-  /// statistics stored in `stats[i]`. The batch is chunked at the tuner's
-  /// decision boundary (requests_until_due) so mid-batch tuning fires at
-  /// the same request index as n single probes; within a chunk the index
-  /// answers each key with its one probe() and the assessors receive one
-  /// weighted observe per (shard, access-pattern) group, attributed with
-  /// the sequential round-robin sequence. Exact-count equivalent to n
-  /// probe() calls for the exact assessors (SRIA/DIA); epsilon-equivalent
-  /// for the compressing ones (see docs/architecture.md).
-  void probe_batch(const index::ProbeKey* keys, std::size_t n,
-                   std::vector<const Tuple*>* outs, index::ProbeStats* stats);
 
   /// Reusable probe-output arena: returned cleared, capacity persists
   /// across calls, so steady-state probing through this buffer performs no
@@ -188,12 +176,6 @@ class StemOperator {
  private:
   void sync_tuple_memory();
   void sync_stats_memory();
-  /// One tuner-boundary-free chunk of probe_batch (or one probe()): the
-  /// index probe per key under one profiler scope, telemetry, grouped
-  /// weighted assessor feed, then at most one tuning decision at the chunk
-  /// end.
-  void probe_chunk(const index::ProbeKey* keys, std::size_t n,
-                   std::vector<const Tuple*>* outs, index::ProbeStats* stats);
   /// Merged tuning epoch (sharded and/or multi-query): merge the whole
   /// assessor grid's snapshots into one logical assessment, run selection
   /// (with per-query request attribution when queries > 1), migrate when
@@ -245,7 +227,6 @@ class StemOperator {
   telemetry::Profiler* profiler_ = nullptr;  ///< null unless --profile
   telemetry::Counter* probe_counter_ = nullptr;
   telemetry::Histogram* probe_cost_hist_ = nullptr;
-  telemetry::Histogram* batch_size_hist_ = nullptr;  ///< keys per probe_batch
   /// Per-access-pattern probe latency histograms, created lazily on the
   /// first probe carrying each pattern.
   std::unordered_map<AttrMask, telemetry::Histogram*> pattern_hists_;

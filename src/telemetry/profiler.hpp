@@ -29,7 +29,7 @@ enum class Phase : std::uint8_t {
   kDrain = 0,      ///< pulling arrivals from the source into the backlog
   kExpiry,         ///< sliding-window expiry sweeps across STeMs
   kInsert,         ///< STeM index inserts (single or batched)
-  kRoute,          ///< eddy routing (route / route_batch), probes excluded
+  kRoute,          ///< eddy routing (a sink's route_batch), probes excluded
   kProbe,          ///< index probe work inside a routing hop
   kSnapshotMerge,  ///< per-shard assessor snapshot + merge at an epoch
   kTunerEpoch,     ///< tuner decide/optimize (migration excluded)

@@ -75,11 +75,11 @@ void AmriTuner::sync_memory() {
   tracked_bytes_ = now;
 }
 
-void AmriTuner::observe_request(AttrMask ap, std::uint64_t weight) {
+void AmriTuner::observe_request(AttrMask ap) {
   assert(is_subset(ap, universe_));
-  assessor_->observe(ap, weight);
-  since_last_decision_ += weight;
-  observed_ += weight;
+  assessor_->observe(ap);
+  ++since_last_decision_;
+  ++observed_;
   sync_memory();
 }
 

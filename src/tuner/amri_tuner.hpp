@@ -149,22 +149,12 @@ class AmriTuner {
   /// optimizer search). Must not be null; call before the first decision.
   void set_evaluator(std::unique_ptr<CandidateEvaluator> evaluator);
 
-  /// Ingest `weight` search requests sharing one access pattern (batched
-  /// probing feeds one weighted call per per-pattern group).
-  void observe_request(AttrMask ap, std::uint64_t weight = 1);
+  /// Ingest one search request's access pattern.
+  void observe_request(AttrMask ap);
 
   /// True when enough requests arrived since the last decision.
   bool tuning_due() const {
     return since_last_decision_ >= options_.reassess_every;
-  }
-
-  /// Requests left before the next decision is due (0 = due now). Batched
-  /// probes chunk their keys at this boundary so mid-batch tuning happens
-  /// at exactly the same request index as tuple-at-a-time execution.
-  std::uint64_t requests_until_due() const {
-    return since_last_decision_ >= options_.reassess_every
-               ? 0
-               : options_.reassess_every - since_last_decision_;
   }
 
   /// Run assessment + selection against `current`; returns the decision
@@ -175,23 +165,24 @@ class AmriTuner {
   /// migrate `index` to the recommended IC.
   TuneDecision maybe_tune(index::BitAddressIndex& index);
 
-  /// Count `n` requests assessed *outside* the tuner (sharded stems feed
-  /// their shard assessors directly); keeps the decision cadence — and the
-  /// observed-request total — identical to the observe_request() path.
-  void note_request(std::uint64_t n = 1) {
-    since_last_decision_ += n;
-    observed_ += n;
+  /// Count one request assessed *outside* the tuner (sharded and
+  /// multi-query stems feed their assessor grid directly); keeps the
+  /// decision cadence — and the observed-request total — identical to the
+  /// observe_request() path.
+  void note_request() {
+    ++since_last_decision_;
+    ++observed_;
   }
 
-  /// Accumulate the observed (meter-charged) cost of `probes` probes into
-  /// the running epoch. The stem feeds this from its telemetry-guarded
-  /// probe measurement (detached runs never call it); the accumulator
-  /// closes at the next decision, where the epoch's realized per-probe
-  /// cost is compared against the previous decision's prediction and the
-  /// relative model error is exported.
-  void note_probe_cost(double cost_us, std::uint64_t probes = 1) {
+  /// Accumulate the observed (meter-charged) cost of one probe into the
+  /// running epoch. The stem feeds this from its telemetry-guarded probe
+  /// measurement (detached runs never call it); the accumulator closes at
+  /// the next decision, where the epoch's realized per-probe cost is
+  /// compared against the previous decision's prediction and the relative
+  /// model error is exported.
+  void note_probe_cost(double cost_us) {
     epoch_probe_cost_us_ += cost_us;
-    epoch_probe_count_ += probes;
+    ++epoch_probe_count_;
   }
 
   /// Selection over externally assessed (merged per-shard) statistics.

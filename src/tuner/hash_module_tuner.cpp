@@ -32,10 +32,10 @@ void HashModuleTuner::sync_memory() {
   tracked_bytes_ = now;
 }
 
-void HashModuleTuner::observe_request(AttrMask ap, std::uint64_t weight) {
+void HashModuleTuner::observe_request(AttrMask ap) {
   assert(is_subset(ap, universe_));
-  assessor_->observe(ap, weight);
-  since_last_decision_ += weight;
+  assessor_->observe(ap);
+  ++since_last_decision_;
   sync_memory();
 }
 

@@ -35,17 +35,9 @@ class HashModuleTuner {
   HashModuleTuner(const HashModuleTuner&) = delete;
   HashModuleTuner& operator=(const HashModuleTuner&) = delete;
 
-  void observe_request(AttrMask ap, std::uint64_t weight = 1);
+  void observe_request(AttrMask ap);
   bool tuning_due() const {
     return since_last_decision_ >= options_.reassess_every;
-  }
-
-  /// Requests left before the next decision is due (0 = due now); batched
-  /// probes chunk at this boundary (see AmriTuner::requests_until_due).
-  std::uint64_t requests_until_due() const {
-    return since_last_decision_ >= options_.reassess_every
-               ? 0
-               : options_.reassess_every - since_last_decision_;
   }
 
   /// Select the masks for the most frequent patterns; retunes `modules`

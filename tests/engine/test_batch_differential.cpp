@@ -3,24 +3,28 @@
 // tuple-at-a-time run — same join-result multiset, same final tuner IC per
 // state, same migration counts, and the same *modelled cost* down to the
 // meter's exact operation counters — across batch {1, 16, 256} and shard
-// {1, 4} combinations.
+// {1, 4} combinations, for every routing policy and assessor.
 //
-// Divergence channels are pinned the same way as the sharded differential
-// harness (kFixed routing, SRIA/DIA assessors, window off the arrival
-// grid), with one addition: arrivals come in *bursts* of ~25 tuples that
-// share a timestamp, 1.25 s apart. Bursts are what make batches actually
-// form (the executor only drains arrivals that are already due), and the
-// 25 ms slack between the expiry horizon and the burst grid dwarfs the
-// sub-millisecond virtual-time skew from expiring once per batch instead
-// of once per tuple, so both runs expire identical tuple sets.
-// charged_us is compared with a tolerance: the per-operation charge
-// *counts* are exactly equal (asserted), but summing the same charges in a
-// different order rounds differently in floating point.
+// Batching changes no routing decision: the eddy routes every arrival
+// depth first at every batch size, so the policy, its RNG and the tuners
+// see the same request sequence. The one channel left is expiry timing.
+// Arrivals come in *bursts* of ~25 tuples that share a timestamp, 1.25 s
+// apart. Bursts are what make batches actually form (the executor only
+// drains arrivals that are already due), and the 25 ms slack between the
+// expiry horizon and the burst grid dwarfs the sub-millisecond
+// virtual-time skew from expiring once per batch instead of once per
+// tuple, so both runs expire identical tuple sets. charged_us is compared
+// with a tolerance: the per-operation charge *counts* are exactly equal
+// (asserted), but summing the same charges in a different order rounds
+// differently in floating point.
 //
-// One deliberate exception: >= 3-stream scenarios whose tuner migrates
-// mid-batch compare the probe-work counters with a 0.1 % tolerance instead
-// of equality — see Scenario::exact_probe_work for why that channel is
-// inherent to level-order batching rather than a bug.
+// Each batch size is compared with batch 1 at the same shard count. Runs
+// also match across shard counts only under kFixed routing with an exact,
+// additive assessor (SRIA, DIA) and kReset or kKeep retention: a sharded
+// state compares fewer tuples per targeted probe, which moves the
+// statistics adaptive routing reads, and compressing assessors and kDecay
+// truncation are not sharding-invariant (the sharded differential harness
+// documents all three), so the other scenarios skip that check.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -70,25 +74,23 @@ struct Scenario {
   std::size_t burst = 25;  ///< arrivals sharing each timestamp
   std::uint64_t seed = 1;
   Value domain = 6;
+  RoutingPolicyKind routing = RoutingPolicyKind::kFixed;
   assessment::AssessorKind assessor = assessment::AssessorKind::kSria;
   tuner::StatsRetention retention = tuner::StatsRetention::kReset;
   std::uint64_t reassess_every = 150;
   double first_half_s0 = 0.8;
   double second_half_s0 = 0.2;
-  /// When true, the probe-work counters (hashes, compares, bucket visits)
-  /// must be bit-identical across batch sizes. This holds unconditionally
-  /// for 2-stream joins: every routing tree has depth 1, so each STeM sees
-  /// its probe requests in exactly arrival order under both the sequential
-  /// and the level-order batched schedule. For >= 3-stream joins the two
-  /// schedules permute each STeM's request stream (level-order partitions
-  /// vs depth-first descent), and when a tuner migration fires *mid-batch*
-  /// — after the same per-STeM request count in both runs, so cadence, IC
-  /// choices, and migration counts still match — a handful of probes swap
-  /// sides of the migration boundary and execute under the other IC. Set
-  /// false for such scenarios: probe-work counters then get a tight
-  /// relative tolerance instead of equality (see docs/architecture.md).
-  bool exact_probe_work = true;
 };
+
+/// True when routes and merged per-shard assessments do not depend on the
+/// shard count, so the scenario's logical observables must also match
+/// across shard counts.
+bool shard_invariant(const Scenario& sc) {
+  const bool exact = sc.assessor == assessment::AssessorKind::kSria ||
+                     sc.assessor == assessment::AssessorKind::kDia;
+  return sc.routing == RoutingPolicyKind::kFixed && exact &&
+         sc.retention != tuner::StatsRetention::kDecay;
+}
 
 std::vector<Tuple> make_bursty_arrivals(const Scenario& sc) {
   std::vector<Tuple> tuples;
@@ -103,7 +105,7 @@ std::vector<Tuple> make_bursty_arrivals(const Scenario& sc) {
     // Whole bursts share a timestamp 1.25 s apart: every burst is fully
     // due the moment the executor reaches it, so batch-size > 1 drains
     // real multi-tuple batches (and skewed stream shares give the
-    // same-stream runs that insert_batch/route_batch vectorise over).
+    // same-stream runs that insert_batch stores in one call).
     t.ts = seconds_to_micros(1.25 * static_cast<double>(i / sc.burst));
     t.seq = static_cast<TupleSeq>(i);
     for (std::size_t a = 0; a < sc.num_attrs; ++a) {
@@ -128,7 +130,7 @@ Observed run_scenario(const Scenario& sc, std::size_t batch,
   o.batch_size = batch;
   o.stem.backend = IndexBackend::kAmri;
   o.stem.shards = shards;
-  o.eddy.routing.kind = RoutingPolicyKind::kFixed;
+  o.eddy.routing.kind = sc.routing;
   tuner::TunerOptions topts;
   topts.assessor = sc.assessor;
   topts.retention = sc.retention;
@@ -188,7 +190,7 @@ void expect_equivalent(const Scenario& sc) {
     // run at the SAME shard count.
     const Observed& shard_base =
         shards == 1 ? base : run_scenario(sc, /*batch=*/1, shards);
-    if (shards != 1) {
+    if (shards != 1 && shard_invariant(sc)) {
       // Logical observables still match across shard counts.
       EXPECT_EQ(shard_base.outputs, base.outputs) << sc.name;
       EXPECT_EQ(shard_base.results, base.results) << sc.name;
@@ -200,39 +202,19 @@ void expect_equivalent(const Scenario& sc) {
       const std::string tag =
           sc.name + " batch=" + std::to_string(batch) + " shards=" +
           std::to_string(shards);
-      EXPECT_EQ(got.outputs, base.outputs) << tag;
-      EXPECT_EQ(got.results, base.results) << tag;
-      EXPECT_EQ(got.final_ics, base.final_ics) << tag;
-      EXPECT_EQ(got.migrations, base.migrations) << tag;
+      EXPECT_EQ(got.outputs, shard_base.outputs) << tag;
+      EXPECT_EQ(got.results, shard_base.results) << tag;
+      EXPECT_EQ(got.final_ics, shard_base.final_ics) << tag;
+      EXPECT_EQ(got.migrations, shard_base.migrations) << tag;
       EXPECT_EQ(got.routes, shard_base.routes) << tag;
       EXPECT_EQ(got.inserts, shard_base.inserts) << tag;
       EXPECT_EQ(got.deletes, shard_base.deletes) << tag;
-      if (sc.exact_probe_work) {
-        EXPECT_EQ(got.hashes, shard_base.hashes) << tag;
-        EXPECT_EQ(got.compares, shard_base.compares) << tag;
-        EXPECT_EQ(got.bucket_visits, shard_base.bucket_visits) << tag;
-        EXPECT_NEAR(got.charged_us, shard_base.charged_us,
-                    1e-6 * shard_base.charged_us + 1e-6)
-            << tag;
-      } else {
-        // Mid-batch migration boundaries reassign a few probes to the
-        // other IC (see Scenario::exact_probe_work); observed drift is
-        // a handful of compares out of hundreds of thousands, so 0.1 %
-        // is a tight bound that still fails on any real regression.
-        const auto near_count = [&](std::uint64_t got_v, std::uint64_t want_v,
-                                    const char* what) {
-          EXPECT_NEAR(static_cast<double>(got_v), static_cast<double>(want_v),
-                      1e-3 * static_cast<double>(want_v) + 1.0)
-              << tag << " " << what;
-        };
-        near_count(got.hashes, shard_base.hashes, "hashes");
-        near_count(got.compares, shard_base.compares, "compares");
-        near_count(got.bucket_visits, shard_base.bucket_visits,
-                   "bucket_visits");
-        EXPECT_NEAR(got.charged_us, shard_base.charged_us,
-                    1e-3 * shard_base.charged_us + 1e-6)
-            << tag;
-      }
+      EXPECT_EQ(got.hashes, shard_base.hashes) << tag;
+      EXPECT_EQ(got.compares, shard_base.compares) << tag;
+      EXPECT_EQ(got.bucket_visits, shard_base.bucket_visits) << tag;
+      EXPECT_NEAR(got.charged_us, shard_base.charged_us,
+                  1e-6 * shard_base.charged_us + 1e-6)
+          << tag;
     }
   }
 }
@@ -245,14 +227,12 @@ TEST(BatchDifferential, ThreeStreamDriftSria) {
   expect_equivalent(sc);
 }
 
-// Two streams: every routing tree has depth 1, so the batched schedule is
-// provably a per-STeM order-preserving permutation of the sequential one
-// and even mid-batch migrations cannot move probes across an IC boundary —
-// all cost counters must be bit-identical (Scenario::exact_probe_work).
-TEST(BatchDifferential, TwoStreamDiaDrift) {
+/// The DIA drift shape shared by the two- and three-stream DIA cases and
+/// the adaptive-routing cases.
+Scenario dia_drift(const std::string& name, std::size_t streams) {
   Scenario sc;
-  sc.name = "batch-two-stream-dia";
-  sc.streams = 2;
+  sc.name = name;
+  sc.streams = streams;
   sc.tuples = 1500;
   sc.seed = 505;
   sc.domain = 7;
@@ -260,25 +240,45 @@ TEST(BatchDifferential, TwoStreamDiaDrift) {
   sc.retention = tuner::StatsRetention::kReset;
   sc.first_half_s0 = 0.7;
   sc.second_half_s0 = 0.15;
+  return sc;
+}
+
+TEST(BatchDifferential, TwoStreamDiaDrift) {
+  expect_equivalent(dia_drift("batch-two-stream-dia", 2));
+}
+
+// Three streams with DIA drift lands tuner migrations mid-batch; every
+// probe still runs under the same IC as at batch 1.
+TEST(BatchDifferential, ThreeStreamDiaDrift) {
+  expect_equivalent(dia_drift("batch-three-stream-dia", 3));
+}
+
+// Stats-driven routing: the policy reads routing statistics that every
+// probe updates, so it decides exactly as at batch 1 only if batching
+// keeps each partial's decision and probe order.
+TEST(BatchDifferential, ThreeStreamCostBasedDia) {
+  Scenario sc = dia_drift("batch-three-stream-cost-based-dia", 3);
+  sc.routing = RoutingPolicyKind::kCostBased;
   expect_equivalent(sc);
 }
 
-// kReset / kKeep retention only: kDecay is excluded for the same reason as
-// in the sharded harness (per-entry truncation is not batching-invariant —
-// see docs/architecture.md). Three streams with DIA drift reliably lands a
-// migration mid-batch, so this is the scenario that exercises the
-// probe-reorder tolerance path.
-TEST(BatchDifferential, ThreeStreamDiaDrift) {
+// Stochastic routing: one lottery draw per partial, so the policy RNG
+// advances identically at every batch size.
+TEST(BatchDifferential, ThreeStreamLotteryCdiaHighestCount) {
+  Scenario sc = dia_drift("batch-three-stream-lottery-cdia-hc", 3);
+  sc.routing = RoutingPolicyKind::kLottery;
+  sc.assessor = assessment::AssessorKind::kCdiaHighestCount;
+  expect_equivalent(sc);
+}
+
+// A compressing assessor with kDecay's per-entry truncation: both see the
+// same single observes in the same order at every batch size.
+TEST(BatchDifferential, ThreeStreamCsriaDecay) {
   Scenario sc;
-  sc.name = "batch-three-stream-dia";
-  sc.tuples = 1500;
-  sc.seed = 505;
-  sc.domain = 7;
-  sc.assessor = assessment::AssessorKind::kDia;
-  sc.retention = tuner::StatsRetention::kReset;
-  sc.first_half_s0 = 0.7;
-  sc.second_half_s0 = 0.15;
-  sc.exact_probe_work = false;
+  sc.name = "batch-three-stream-csria-decay";
+  sc.seed = 404;
+  sc.assessor = assessment::AssessorKind::kCsria;
+  sc.retention = tuner::StatsRetention::kDecay;
   expect_equivalent(sc);
 }
 

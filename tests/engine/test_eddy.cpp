@@ -2,7 +2,6 @@
 
 #include <gtest/gtest.h>
 
-#include <algorithm>
 #include <memory>
 #include <vector>
 
@@ -194,116 +193,6 @@ TEST(EddyRouter, BatchRoutingAmortisesDecisionCost) {
   const auto batched = routes_with_batch(10);
   EXPECT_GT(unbatched, 0u);
   EXPECT_LT(batched, unbatched / 4);
-}
-
-// Drives one rig tuple-at-a-time and a twin rig through
-// insert_batch/route_batch with identical same-stream runs; results and
-// (when metered) route charges must agree exactly.
-struct BatchRun {
-  StreamId stream;
-  std::vector<Tuple> tuples;
-};
-
-std::vector<BatchRun> make_batch_runs(std::size_t streams, std::size_t rounds,
-                                      std::uint64_t seed) {
-  Rng rng(seed);
-  std::vector<BatchRun> runs;
-  TimeMicros ts = 0;
-  TupleSeq seq = 0;
-  for (std::size_t r = 0; r < rounds; ++r) {
-    BatchRun run;
-    run.stream = static_cast<StreamId>(rng.below(streams));
-    const std::size_t k = 1 + rng.below(6);
-    for (std::size_t i = 0; i < k; ++i) {
-      Tuple t = testutil::make_tuple(
-          {static_cast<Value>(rng.below(4)), static_cast<Value>(rng.below(4))},
-          seq++, ++ts, run.stream);
-      run.tuples.push_back(t);
-    }
-    runs.push_back(std::move(run));
-  }
-  return runs;
-}
-
-TEST(EddyRouter, RouteBatchMatchesSequentialRouting) {
-  for (const std::size_t reuse : {std::size_t{1}, std::size_t{8}}) {
-    EddyOptions eo;
-    eo.decision_reuse = reuse;
-    Rig single(3, scan_backend(), eo);
-    Rig batched(3, scan_backend(), eo);
-    std::vector<JoinResult> single_sink, batched_sink;
-    std::uint64_t single_results = 0;
-    std::uint64_t batched_results = 0;
-    for (const BatchRun& run : make_batch_runs(3, 120, 777)) {
-      for (const Tuple& t : run.tuples) {
-        single_results += single.eddy->route(
-            single.stems[run.stream]->insert(t), &single_sink);
-      }
-      std::vector<const Tuple*> stored;
-      std::vector<std::uint32_t> done(run.tuples.size(),
-                                      std::uint32_t{1} << run.stream);
-      batched.stems[run.stream]->insert_batch(run.tuples.data(),
-                                              run.tuples.size(), stored);
-      batched_results += batched.eddy->route_batch(
-          stored.data(), done.data(), run.tuples.size(), &batched_sink);
-    }
-    EXPECT_EQ(batched_results, single_results) << "reuse " << reuse;
-    EXPECT_EQ(batched_sink.size(), single_sink.size()) << "reuse " << reuse;
-    // Same result multiset, keyed on member seqs (emission order within a
-    // batch is level-order, not depth-first).
-    auto canon = [](const std::vector<JoinResult>& sink) {
-      std::vector<std::vector<TupleSeq>> keys;
-      for (const JoinResult& jr : sink) {
-        std::vector<TupleSeq> key;
-        for (const Tuple* m : jr.members) key.push_back(m->seq);
-        keys.push_back(std::move(key));
-      }
-      std::sort(keys.begin(), keys.end());
-      return keys;
-    };
-    EXPECT_EQ(canon(batched_sink), canon(single_sink)) << "reuse " << reuse;
-  }
-}
-
-TEST(EddyRouter, RouteBatchChargesSameRoutingCost) {
-  const QuerySpec q = make_complete_join_query(3, seconds_to_micros(1000));
-  auto routes_charged = [&](bool use_batch, std::size_t reuse) {
-    CostMeter meter;
-    StemOptions so;
-    so.backend = IndexBackend::kScan;
-    std::vector<std::unique_ptr<StemOperator>> stems;
-    std::vector<StemOperator*> ptrs;
-    for (StreamId s = 0; s < 3; ++s) {
-      stems.push_back(std::make_unique<StemOperator>(
-          s, q.layout(s), q.window(), so, model()));
-      ptrs.push_back(stems.back().get());
-    }
-    EddyOptions eo;
-    eo.decision_reuse = reuse;
-    // Charge parity holds for deterministic policies; stats-driven ones
-    // may legitimately pick different routes under the batch's level-order
-    // probe sequence (documented caveat).
-    eo.routing.kind = RoutingPolicyKind::kFixed;
-    EddyRouter eddy(q, std::move(ptrs), eo, &meter);
-    for (const BatchRun& run : make_batch_runs(3, 80, 4242)) {
-      std::vector<const Tuple*> stored;
-      std::vector<std::uint32_t> done(run.tuples.size(),
-                                      std::uint32_t{1} << run.stream);
-      stems[run.stream]->insert_batch(run.tuples.data(), run.tuples.size(),
-                                      stored);
-      if (use_batch) {
-        eddy.route_batch(stored.data(), done.data(), run.tuples.size());
-      } else {
-        for (const Tuple* t : stored) eddy.route(t);
-      }
-    }
-    return meter.routes();
-  };
-  for (const std::size_t reuse : {std::size_t{1}, std::size_t{10}}) {
-    const auto sequential = routes_charged(false, reuse);
-    EXPECT_GT(sequential, 0u);
-    EXPECT_EQ(routes_charged(true, reuse), sequential) << "reuse " << reuse;
-  }
 }
 
 TEST(EddyRouter, ChargesRoutingDecisions) {

@@ -6,7 +6,11 @@
 // recorded from the engine before its three schedules (tuple-at-a-time,
 // batched, wall with a drain/route overlap worker) were folded into one
 // batched loop; the wall case was recorded with the overlap worker off,
-// the schedule that survived. Pinned:
+// the schedule that survived. The four batched cases (batch 64 and the
+// wall case) were re-recorded when every arrival began to route through
+// the one depth-first router: routing decisions are now taken per partial
+// at every batch size, results are emitted arrival by arrival, and route
+// charges are summed one decision at a time. Pinned:
 //
 //   * counters: outputs, arrivals, filtered, dropped, routing decisions,
 //     peak memory, completed / died_at, on_result invocations;
@@ -379,23 +383,23 @@ TEST(PipelinePins, SingleQueryWarmupBatch1) {
 
 TEST(PipelinePins, SingleQueryWarmupBatch64) {
   expect_pinned(run_fig7(64),
-      {.outputs = 1392,
-       .arrivals = 2935,
+      {.outputs = 1370,
+       .arrivals = 2898,
        .filtered = 86,
-       .dropped = 16,
-       .decisions = 59564,
+       .dropped = 11,
+       .decisions = 58387,
        .peak_memory = 78752,
        .completed = true,
        .died_at = kNoDeath,
-       .charged_bits = 0x4182546a30000000ULL,
+       .charged_bits = 0x41821cc568000000ULL,
        .samples = 6,
-       .sample_digest = 0xdea5e4a1b8d0c0ceULL,
+       .sample_digest = 0xe4382602bebde37ULL,
        .states =
-           "7:bit_address[A:0 B:0 C:6]|2:bit_address[A:6 B:0 C:0]|"
-           "7:bit_address[A:0 B:6 C:0]|6:bit_address[A:0 B:0 C:6]",
+           "4:bit_address[A:0 B:0 C:6]|2:bit_address[A:6 B:0 C:0]|"
+           "5:bit_address[A:0 B:6 C:0]|6:bit_address[A:0 B:0 C:6]",
        .rows = 400,
-       .row_digest = 0x40da0b6509cbb545ULL,
-       .callbacks = 1716});
+       .row_digest = 0xa7caca90f7d40665ULL,
+       .callbacks = 1694});
 }
 
 TEST(PipelinePins, MultiQueryWarmupBatch1) {
@@ -436,23 +440,23 @@ TEST(PipelinePins, MultiQueryWarmupBatch64) {
            "1:bit_address[A:0 B:4 C:4 D:0]|"
            "1:bit_address[A:0 B:4 C:4 D:0]",
        .rows = 300,
-       .row_digest = 0xc45e03e367fe3bcULL,
+       .row_digest = 0x5f36fdd8320f619cULL,
        .callbacks = 897});
 }
 
 TEST(PipelinePins, ShardedBatch64) {
   expect_pinned(run_sharded(),
       {.outputs = 127,
-       .arrivals = 1387,
+       .arrivals = 1385,
        .filtered = 0,
-       .dropped = 197,
-       .decisions = 23881,
-       .peak_memory = 377512,
+       .dropped = 177,
+       .decisions = 23620,
+       .peak_memory = 374928,
        .completed = true,
        .died_at = kNoDeath,
-       .charged_bits = 0x4161cfe880000000ULL,
+       .charged_bits = 0x4161b93200000000ULL,
        .samples = 4,
-       .sample_digest = 0xb08a7174799b0309ULL,
+       .sample_digest = 0x788e793565781892ULL,
        .states =
            "1:bit_address[A:0 B:4 C:4]x4|1:bit_address[A:5 B:0 C:3]x4|"
            "1:bit_address[A:4 B:0 C:4]x4|1:bit_address[A:4 B:4 C:0]x4",
@@ -471,13 +475,13 @@ TEST(PipelinePins, WallBatch256WithSelection) {
        .peak_memory = 292696,
        .completed = true,
        .died_at = kNoDeath,
-       .charged_bits = 0x40e97768f5c42642ULL,
+       .charged_bits = 0x40e97768f5c422ebULL,
        .samples = 5,
        .sample_digest = 0x8d82dcbcbe4572c8ULL,
        .states =
            "0:bit_address[A:4]|0:bit_address[A:4]",
        .rows = 500,
-       .row_digest = 0xd122004e48df9c5ULL,
+       .row_digest = 0x11a69ae4570af605ULL,
        .callbacks = 400928});
 }
 

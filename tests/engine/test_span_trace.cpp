@@ -10,6 +10,7 @@
 
 #include "../test_util.hpp"
 #include "engine/executor.hpp"
+#include "engine/multi_query.hpp"
 #include "telemetry/telemetry.hpp"
 
 namespace amri::engine {
@@ -216,6 +217,45 @@ TEST(SpanTrace, BatchedAndUnbatchedTraceSameArrivals) {
           << "batch " << batch_size << ", span #" << i << ": stream "
           << static_cast<int>(batched[i].stream) << " vs "
           << static_cast<int>(unbatched[i].stream);
+    }
+  }
+}
+
+// Regression: at batch > 1 a query whose share of a segment was a single
+// untraced arrival routed it through a path that picked the segment's
+// active span up on its own, so that arrival's hops landed in the traced
+// arrival's span. Bursts of two stream-0 arrivals, the first rejected by
+// query 1: each traced first arrival is routed by query 0 alone and must
+// carry exactly one hop.
+TEST(SpanTrace, MultiQueryHopsStayWithTheirArrival) {
+  std::vector<QuerySpec> queries(
+      2, make_complete_join_query(2, seconds_to_micros(500)));
+  queries[1].set_selection(
+      0, Selection({FilterPredicate{0, CompareOp::kNe, 0}}));
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 10; ++i) {
+    tuples.push_back(mk(0, i + 1.0, {0}));  // query 1 rejects it
+    tuples.push_back(mk(0, i + 1.0, {1}));
+  }
+  telemetry::Telemetry telemetry;
+  ScriptedSource src(tuples);
+  ExecutorOptions o = traced_options(&telemetry, 1);
+  o.batch_size = 8;
+  MultiQueryExecutor ex(queries, o);
+  ex.run(src);
+
+  std::map<std::int64_t, int> hops_by_span;
+  for (const telemetry::Event& e : telemetry.events().snapshot()) {
+    if (e.kind != telemetry::EventKind::kSpan) continue;
+    int& hops = hops_by_span[json_int(e.payload, "span")];
+    if (json_str(e.payload, "stage") == "hop") ++hops;
+  }
+  // Every arrival is sampled; span ids follow drain order, so the odd ids
+  // are the traced first arrivals of the bursts.
+  ASSERT_EQ(hops_by_span.size(), tuples.size());
+  for (const auto& [span, hops] : hops_by_span) {
+    if (span % 2 == 1) {
+      EXPECT_EQ(hops, 1) << "span " << span;
     }
   }
 }

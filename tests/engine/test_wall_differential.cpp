@@ -7,19 +7,20 @@
 //
 // What is deliberately NOT compared: the probe-work counters (hashes,
 // compares, bucket visits) and the charged-time total. Wall mode inserts
-// the whole mixed-stream batch up front and routes it as one partition
-// under a per-root sequence horizon (BatchVisibility): a probe can
-// therefore scan batch peers that virtual mode would not have stored yet,
-// and the horizon discards those matches only *after* the comparisons were
-// performed and charged. The join results are identical by construction;
-// the probe-work meters legitimately count the extra scans. (Insert,
-// delete and route charges have no such channel: the same tuples are
-// stored, expired and the same partial results take the same hops.)
+// the whole mixed-stream batch up front and routes it as one segment,
+// arrival by arrival, under a per-arrival sequence horizon
+// (BatchVisibility): a probe can therefore scan batch peers that virtual
+// mode would not have stored yet, and the horizon discards those matches
+// only *after* the comparisons were performed and charged. The join
+// results are identical by construction; the probe-work meters
+// legitimately count the extra scans. (Insert, delete and route charges
+// have no such channel: the same tuples are stored, expired and the same
+// partial results take the same hops.)
 //
-// Divergence channels are pinned as in the batched differential harness:
-// kFixed routing, bursty arrivals so batches actually form, and a window
-// offset 25 ms off the burst grid so per-batch expiry never straddles an
-// arrival.
+// Divergence channels are pinned: kFixed routing (the extra scans move the
+// compare statistics adaptive routing reads), bursty arrivals so batches
+// actually form, and a window offset 25 ms off the burst grid so per-batch
+// expiry never straddles an arrival.
 #include <gtest/gtest.h>
 
 #include <algorithm>

@@ -1,9 +1,11 @@
-// Allocation checks on the probe and optimizer hot paths. Once a warm-up
-// probe has sized the output vector, BitAddressIndex::probe allocates
-// nothing on any of its three strategies (fully bound tag path, wildcard
-// enumeration, directory filtering): the wildcard bit positions live in an
-// inline SmallVector sized past IndexConfig::kMaxTotalBits. The exhaustive
-// index optimizer allocates nothing per non-improving candidate.
+// Allocation checks on the probe, routing and optimizer hot paths. Once a
+// warm-up probe has sized the output vector, BitAddressIndex::probe
+// allocates nothing on any of its three strategies (fully bound tag path,
+// wildcard enumeration, directory filtering): the wildcard bit positions
+// live in an inline SmallVector sized past IndexConfig::kMaxTotalBits.
+// Once a first route has sized its arenas, EddyRouter::route allocates
+// nothing per partial. The exhaustive index optimizer allocates nothing
+// per non-improving candidate.
 //
 // Instrumented with replacement global new/delete that count only while a
 // thread-local flag is up; everything outside the `AllocTracker` scopes
@@ -12,11 +14,13 @@
 
 #include <cstdint>
 #include <cstdlib>
+#include <memory>
 #include <new>
 #include <vector>
 
 #include "../test_util.hpp"
 #include "common/cost_meter.hpp"
+#include "engine/eddy.hpp"
 #include "index/bit_address_index.hpp"
 #include "index/index_optimizer.hpp"
 #include "telemetry/telemetry.hpp"
@@ -142,6 +146,51 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
   EXPECT_EQ(counter("dense.probe.filtered"), 0u);
   EXPECT_EQ(counter("sparse.probe.enumerated"), 0u);
   EXPECT_EQ(counter("sparse.probe.filtered"), 2u);
+}
+
+TEST(ProbeAlloc, EddyRouteAllocatesNothingOnceWarm) {
+  // Three streams whose tuples all join: a stream-0 arrival expands into
+  // 1 + 20 + 400 partials. Static bit-address states drop their tuner at
+  // finish_warmup(), so probes feed no assessor.
+  const engine::QuerySpec q =
+      engine::make_complete_join_query(3, seconds_to_micros(1000));
+  engine::StemOptions so;
+  so.backend = engine::IndexBackend::kStaticBitmap;
+  so.initial_config = IndexConfig({2, 2});
+  std::vector<std::unique_ptr<engine::StemOperator>> stems;
+  std::vector<engine::StemOperator*> ptrs;
+  for (StreamId s = 0; s < 3; ++s) {
+    stems.push_back(std::make_unique<engine::StemOperator>(
+        s, q.layout(s), q.window(), so, CostModel(WorkloadParams{})));
+    stems.back()->finish_warmup();
+    ptrs.push_back(stems.back().get());
+  }
+  CostMeter meter;
+  engine::EddyOptions eo;
+  eo.routing.kind = engine::RoutingPolicyKind::kFixed;
+  engine::EddyRouter eddy(q, std::move(ptrs), eo, &meter);
+  const Tuple* arrival = nullptr;
+  for (int i = 0; i < 60; ++i) {
+    const auto s = static_cast<StreamId>(i % 3);
+    arrival = stems[s]->insert(testutil::make_tuple({0, 0}, i, i + 1, s));
+  }
+  ASSERT_EQ(arrival->stream, 2);
+
+  // The first route sizes the stack, the candidate list, every probe
+  // scratch arena, the result sink and the routing-statistics table.
+  std::vector<engine::JoinResult> sink;
+  const std::uint64_t warm = eddy.route(arrival, &sink);
+  ASSERT_EQ(warm, 400u);
+  sink.clear();
+  AllocStats allocs;
+  std::uint64_t produced = 0;
+  {
+    AllocTracker tracker;
+    produced = eddy.route(arrival, &sink);
+    allocs = tracker.stop();
+  }
+  EXPECT_EQ(produced, warm);
+  EXPECT_EQ(allocs.count, 0u);
 }
 
 TEST(ProbeAlloc, ExhaustiveOptimizerAllocationsDoNotGrowWithLeaves) {

@@ -1,14 +1,9 @@
-// The index/state telemetry contract: bulk_load() must feed the same
+// The index telemetry contract: bulk_load() must feed the same
 // instruments insert() feeds (chain-length histogram, occupancy-imbalance
-// gauge) instead of leaving them empty/stale, and the batched probe path
-// must feed the per-state batch-size histogram
-// (`stem.<s>.probe.batch_size`).
+// gauge) instead of leaving them empty/stale.
 #include <gtest/gtest.h>
 
-#include <vector>
-
 #include "../test_util.hpp"
-#include "engine/stem.hpp"
 #include "index/bit_address_index.hpp"
 #include "telemetry/telemetry.hpp"
 
@@ -107,44 +102,6 @@ TEST(IndexTelemetry, BindNullDetachesInstruments) {
   const auto* hist = tel.metrics().find_histogram("idx.bucket.chain_len");
   ASSERT_NE(hist, nullptr);
   EXPECT_EQ(hist->count(), 0u);
-}
-
-TEST(IndexTelemetry, StemBatchSizeHistogramRecordsKeysPerBatch) {
-  telemetry::Telemetry tel;
-  const engine::QuerySpec q =
-      engine::make_complete_join_query(2, seconds_to_micros(1000));
-  engine::StemOptions so;
-  so.backend = engine::IndexBackend::kAmri;
-  so.initial_config = IndexConfig({2});
-  engine::StemOperator stem(0, q.layout(0), q.window(), so,
-                            CostModel(WorkloadParams{}), nullptr, nullptr,
-                            &tel);
-  testutil::TuplePool pool(200, 1, 12, 29);
-  std::vector<const Tuple*> stored;
-  std::vector<Tuple> arrivals;
-  for (const Tuple* t : pool.pointers()) arrivals.push_back(*t);
-  stem.insert_batch(arrivals.data(), arrivals.size(), stored);
-
-  const std::size_t n = 24;
-  std::vector<ProbeKey> keys(n);
-  for (std::size_t i = 0; i < n; ++i) {
-    keys[i].mask = 0b1;
-    keys[i].values = {static_cast<Value>(i % 12)};
-  }
-  std::vector<std::vector<const Tuple*>> outs(n);
-  std::vector<ProbeStats> stats(n);
-  stem.probe_batch(keys.data(), n, outs.data(), stats.data());
-
-  const auto* hist = tel.metrics().find_histogram("stem.0.probe.batch_size");
-  ASSERT_NE(hist, nullptr);
-  // One observation per probe_batch call, of the whole batch's size (the
-  // tuner-boundary chunking underneath does not re-observe).
-  EXPECT_EQ(hist->count(), 1u);
-  EXPECT_DOUBLE_EQ(hist->sum(), static_cast<double>(n));
-  // The per-probe counter still advances once per key.
-  const auto* probes = tel.metrics().find_counter("stem.0.probe.count");
-  ASSERT_NE(probes, nullptr);
-  EXPECT_EQ(probes->value(), n);
 }
 
 }  // namespace
