@@ -59,14 +59,10 @@ class Assessor {
  public:
   virtual ~Assessor() = default;
 
-  /// Ingest `weight` search requests sharing one access pattern. Batched
-  /// probing groups a batch's keys per pattern and feeds one weighted
-  /// observe per group. For SRIA/DIA (exact additive counts) this is
-  /// bit-identical to `weight` single observes; for CSRIA/CDIA the
-  /// compression boundaries shift with grouping order, so counts match
-  /// only within the sketch's epsilon bound (see docs/architecture.md,
-  /// "Batched execution").
-  virtual void observe(AttrMask ap, std::uint64_t weight = 1) = 0;
+  /// Ingest one search request's access pattern. Every probe is observed
+  /// on its own, in probe order, at every batch size, so batched and
+  /// unbatched runs feed an assessor the same sequence.
+  virtual void observe(AttrMask ap) = 0;
 
   /// Frequent patterns at threshold theta, sorted by descending count.
   virtual std::vector<AssessedPattern> results(double theta) const = 0;
@@ -102,9 +98,9 @@ class Assessor {
                       const std::string& prefix);
 
  protected:
-  /// `n` access patterns ingested.
-  void note_observed(std::uint64_t n = 1) {
-    if (observed_counter_ != nullptr) observed_counter_->add(n);
+  /// One access pattern ingested.
+  void note_observed() {
+    if (observed_counter_ != nullptr) observed_counter_->add();
   }
   /// `entries` statistics entries evicted (CSRIA) or merged into a parent
   /// (CDIA) by compression.

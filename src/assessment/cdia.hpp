@@ -17,12 +17,12 @@ class Cdia final : public Assessor {
        std::uint64_t seed = 0x5eedULL)
       : hhh_(universe, epsilon, policy, seed) {}
 
-  void observe(AttrMask ap, std::uint64_t weight = 1) override {
+  void observe(AttrMask ap) override {
     // HHH compression merges infrequent leaves into a parent; a shrink
     // across one observe() counts the leaves combined away.
     const std::size_t before = hhh_.size();
-    hhh_.observe(ap, weight);
-    note_observed(weight);
+    hhh_.observe(ap);
+    note_observed();
     const std::size_t after = hhh_.size();
     if (after < before) {
       note_compressed(static_cast<std::uint64_t>(before - after));

@@ -5,13 +5,13 @@
 
 namespace amri::assessment {
 
-void Csria::observe(AttrMask ap, std::uint64_t weight) {
+void Csria::observe(AttrMask ap) {
   assert(is_subset(ap, universe_));
   // Lossy counting deletes sub-epsilon entries at segment boundaries; a
   // table shrink across one observe() is exactly that eviction sweep.
   const std::size_t before = counter_.size();
-  counter_.observe(ap, weight);
-  note_observed(weight);
+  counter_.observe(ap);
+  note_observed();
   const std::size_t after = counter_.size();
   if (after < before) {
     note_compressed(static_cast<std::uint64_t>(before - after));

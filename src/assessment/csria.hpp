@@ -16,7 +16,7 @@ class Csria final : public Assessor {
   Csria(AttrMask universe, double epsilon)
       : universe_(universe), counter_(epsilon) {}
 
-  void observe(AttrMask ap, std::uint64_t weight = 1) override;
+  void observe(AttrMask ap) override;
   std::vector<AssessedPattern> results(double theta) const override;
   std::uint64_t observed() const override { return counter_.observed(); }
   std::size_t table_size() const override { return counter_.size(); }

@@ -5,10 +5,10 @@
 
 namespace amri::assessment {
 
-void Dia::observe(AttrMask ap, std::uint64_t weight) {
+void Dia::observe(AttrMask ap) {
   assert(is_subset(ap, lattice_.shape().universe()));
-  lattice_.counts().add(ap, weight);
-  note_observed(weight);  // DIA keeps full statistics: nothing compressed
+  lattice_.counts().add(ap);
+  note_observed();  // DIA keeps full statistics: nothing compressed
   AMRI_CHECK_INVARIANTS(*this);
 }
 

@@ -15,7 +15,7 @@ class Dia final : public Assessor {
  public:
   explicit Dia(AttrMask universe) : lattice_(universe) {}
 
-  void observe(AttrMask ap, std::uint64_t weight = 1) override;
+  void observe(AttrMask ap) override;
   std::vector<AssessedPattern> results(double theta) const override;
   std::uint64_t observed() const override {
     return lattice_.counts().total_observed();

@@ -5,10 +5,10 @@
 
 namespace amri::assessment {
 
-void Sria::observe(AttrMask ap, std::uint64_t weight) {
+void Sria::observe(AttrMask ap) {
   assert(is_subset(ap, universe_));
-  table_.add(ap, weight);
-  note_observed(weight);  // SRIA never compresses: observation count only
+  table_.add(ap);
+  note_observed();  // SRIA never compresses: observation count only
 }
 
 std::vector<AssessedPattern> Sria::results(double theta) const {

@@ -13,7 +13,7 @@ class Sria final : public Assessor {
  public:
   explicit Sria(AttrMask universe) : universe_(universe) {}
 
-  void observe(AttrMask ap, std::uint64_t weight = 1) override;
+  void observe(AttrMask ap) override;
   std::vector<AssessedPattern> results(double theta) const override;
   std::uint64_t observed() const override { return table_.total_observed(); }
   std::size_t table_size() const override { return table_.size(); }

@@ -1,5 +1,6 @@
 // Bit-manipulation helpers used by access-pattern masks and the
-// bit-address index (bucket-id construction and wildcard enumeration).
+// bit-address index (bucket-id construction, wildcard enumeration and
+// value signatures).
 #pragma once
 
 #include <bit>
@@ -36,6 +37,17 @@ constexpr std::uint64_t low_bits64(int n) {
 constexpr std::uint64_t pow2_saturating(int n) {
   assert(n >= 0);
   return n >= 64 ? ~std::uint64_t{0} : std::uint64_t{1} << n;
+}
+
+/// SplitMix64 finalizer, a bijection on 64-bit words. The bucket directory
+/// spreads bucket ids over its slots with it, the sharded index routes a
+/// value to its shard with it, and the bit-address index builds value
+/// signatures from it. Changing it moves every home slot and shard route.
+constexpr std::uint64_t mix64(std::uint64_t x) {
+  x += 0x9e3779b97f4a7c15ULL;
+  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
+  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
+  return x ^ (x >> 31);
 }
 
 /// True iff `sub` is a subset of `super` (every attribute of sub in super).

@@ -61,6 +61,32 @@ class CostMeter {
     charge(static_cast<double>(n) * params_.bucket_visit_cost_us);
   }
 
+  /// One bucket visit and the comparison of its `n` stored tuples. Equal
+  /// bit for bit to charge_bucket_visit() followed by n charge_compare()
+  /// calls: the same additions in the same order, run on local copies of
+  /// the running sums, with the whole ticks advanced once at the end.
+  /// Nothing reads the meter or the clock inside a scan and the clock
+  /// saturates, so one advance lands where n + 1 would. (charge_compare(n)
+  /// multiplies, which rounds differently.)
+  void charge_bucket_scan(std::uint64_t n) {
+    bucket_visits_ += 1;
+    compares_ += n;
+    const double visit = params_.bucket_visit_cost_us;
+    const double compare = params_.compare_cost_us;
+    double charged = charged_us_ + visit;
+    double fractional = fractional_;
+    TimeMicros ticks = 0;
+    accrue(fractional, ticks, visit);
+    for (std::uint64_t i = 0; i < n; ++i) {
+      charged += compare;
+      accrue(fractional, ticks, compare);
+    }
+    charged_us_ = charged;
+    if (clock_ == nullptr) return;  // a detached meter keeps no remainder
+    fractional_ = fractional;
+    if (ticks > 0) clock_->advance(ticks);
+  }
+
   std::uint64_t hashes() const { return hashes_; }
   std::uint64_t compares() const { return compares_; }
   std::uint64_t routes() const { return routes_; }
@@ -83,13 +109,20 @@ class CostMeter {
   void charge(double us) {
     charged_us_ += us;
     if (clock_ != nullptr) {
-      // Accumulate fractional microseconds; advance in whole ticks.
-      fractional_ += us;
-      const auto whole = static_cast<TimeMicros>(fractional_);
-      if (whole > 0) {
-        clock_->advance(whole);
-        fractional_ -= static_cast<double>(whole);
-      }
+      TimeMicros ticks = 0;
+      accrue(fractional_, ticks, us);
+      if (ticks > 0) clock_->advance(ticks);
+    }
+  }
+
+  /// Accumulate fractional microseconds and move the whole ones into
+  /// `ticks` (saturating, like the clock) for the caller to advance.
+  static void accrue(double& fractional, TimeMicros& ticks, double us) {
+    fractional += us;
+    const auto whole = static_cast<TimeMicros>(fractional);
+    if (whole > 0) {
+      ticks = ticks > kTimeMax - whole ? kTimeMax : ticks + whole;
+      fractional -= static_cast<double>(whole);
     }
   }
 

@@ -55,6 +55,9 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
   assert(stored != nullptr);
   ++arrivals_;
   const std::uint32_t all = query_.all_streams_mask();
+  // The traced arrival's span is active only while it routes, so a sharded
+  // state's fan-out events land in this arrival's span and no other.
+  if (span != 0 && telemetry_ != nullptr) telemetry_->resume_span(span);
 
   stack_.clear();
   Partial& root = stack_.emplace_back();
@@ -134,14 +137,15 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
     const StateLayout& layout = query_.layout(target);
     const std::vector<std::uint8_t>* pos_map =
         position_maps_.empty() ? nullptr : &position_maps_[target];
-    index::ProbeKey key;
-    key.values.resize(stems_[target]->layout().jas.size(), Value{0});
+    key_.mask = 0;
+    key_.values.clear();
+    key_.values.resize(stems_[target]->layout().jas.size(), Value{0});
     for_each_bit(ap, [&](unsigned pos) {
       const auto& peer = layout.peers[pos];
       const unsigned stem_pos =
           pos_map == nullptr ? pos : (*pos_map)[pos];
-      key.mask |= (AttrMask{1} << stem_pos);
-      key.values[stem_pos] = p.members[peer.stream]->at(peer.attr);
+      key_.mask |= (AttrMask{1} << stem_pos);
+      key_.values[stem_pos] = p.members[peer.stream]->at(peer.attr);
     });
 
     // The target STeM's scratch arena: cleared here, capacity retained
@@ -149,7 +153,7 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
     std::vector<const Tuple*>& matches = stems_[target]->probe_scratch();
     std::chrono::steady_clock::time_point hop_t0{};
     if (span != 0) hop_t0 = std::chrono::steady_clock::now();
-    const auto probe_stats = stems_[target]->probe(key, matches);
+    const auto probe_stats = stems_[target]->probe(key_, matches);
     if (span != 0 && telemetry_ != nullptr) {
       const auto probe_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(
@@ -202,6 +206,7 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
   }
   results_ += produced;
   if (telemetry_ != nullptr && produced > 0) results_counter_->add(produced);
+  if (span != 0 && telemetry_ != nullptr) telemetry_->end_span();
   return produced;
 }
 

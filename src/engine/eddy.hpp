@@ -76,7 +76,9 @@ class EddyRouter {
   ///     always added.
   ///   * `span`: the arrival's trace span id, or 0 when it is not traced.
   ///     A traced arrival emits a "hop" span event per probe and a
-  ///     "truncate" event if its valve trips.
+  ///     "truncate" event if its valve trips; its span is the telemetry's
+  ///     active span while it routes (sharded states read it for their
+  ///     "fanout" events) and none is active afterwards.
   ///   * `visibility`, `order`: wall mode's sequence horizon. Probe matches
   ///     that are members of the batch at order >= `order` are dropped
   ///     before the WHERE re-check, so the arrival sees the window state
@@ -121,9 +123,11 @@ class EddyRouter {
   std::unordered_map<std::uint32_t, CachedDecision> decision_cache_;
   void note_decision(std::uint32_t done_mask, StreamId target);
   // Routing arenas: cleared per use, capacity kept, so steady-state routing
-  // allocates nothing per partial.
+  // allocates nothing per partial (the probe key's values spill to the heap
+  // on a JAS wider than kInlineAttrs, once).
   std::vector<Partial> stack_;
   RoutingContext ctx_;
+  index::ProbeKey key_;
   // Telemetry instruments (null when detached).
   telemetry::Telemetry* telemetry_ = nullptr;
   telemetry::Counter* decisions_counter_ = nullptr;

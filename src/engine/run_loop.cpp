@@ -92,8 +92,8 @@ struct Pipeline {
   /// virtual mode routes each same-stream run as its own segment.
   const bool wall = options.engine == EngineMode::kWall;
   /// Every trace_sample-th drained arrival gets a span id. The route phase
-  /// hands it to the eddy and resumes it for the sharded fan-out, which
-  /// picks it up via active_span().
+  /// hands it to the eddy, which makes it the active span while that
+  /// arrival routes (the sharded fan-out picks it up via active_span()).
   const std::size_t trace_sample = tel != nullptr ? options.trace_sample : 0;
   /// Multi-query sinks: samples carry per-query output deltas past the
   /// warm-up offsets, the same convention as `outputs`.
@@ -301,7 +301,7 @@ Drained drain(Pipeline& p) {
                         [](telemetry::JsonWriter&) {});
       }
     }
-    if (sampled) p.tel->end_span();  // resumed when its segment routes
+    if (sampled) p.tel->end_span();  // the eddy resumes it while it routes
     if (!admitted) continue;
     if (sampled) p.spans.push_back(span);
     p.batch.push(arrival);
@@ -351,7 +351,6 @@ void route(Pipeline& p, std::size_t a, std::size_t b) {
   // Routing hops are traced for one arrival per segment, its first sampled
   // one. Every sampled arrival still gets its own insert/done stages and
   // latency observation.
-  if (traced) p.tel->resume_span(p.spans[lo].id);
   std::uint64_t produced = 0;
   {
     telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kRoute);
@@ -375,7 +374,6 @@ void route(Pipeline& p, std::size_t a, std::size_t b) {
                     });
     p.rt.span_latency_hist->observe(static_cast<double>(latency_ns) / 1000.0);
   }
-  if (traced) p.tel->end_span();
 }
 
 /// Fill the run result from the final engine state and emit run_end.

@@ -1,6 +1,7 @@
 #include "index/bit_address_index.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cassert>
 #include <cmath>
 
@@ -15,9 +16,12 @@ BitAddressIndex::BitAddressIndex(JoinAttributeSet jas, IndexConfig config,
       config_(std::move(config)),
       mapper_(std::move(mapper)),
       meter_(meter),
-      memory_(memory) {
+      memory_(memory),
+      sig_width_(
+          64 / static_cast<int>(std::max<std::size_t>(jas_.size(), 1))) {
   assert(config_.num_attrs() == jas_.size());
   assert(mapper_.num_attrs() == jas_.size());
+  assert(jas_.size() <= 32);
 }
 
 BitAddressIndex::~BitAddressIndex() {
@@ -71,25 +75,19 @@ BucketId BitAddressIndex::bucket_of(const Tuple& t) {
   return id;
 }
 
-std::uint64_t BitAddressIndex::tuple_tag(const Tuple& t) const {
-  // FNV-1a over the tuple's JAS values in position order. Must stay in
-  // lockstep with key_tag(): a fully bound probe key's tag equals the tag
-  // of every tuple it can match.
-  std::uint64_t h = 0xcbf29ce484222325ULL;
-  for (std::size_t pos = 0; pos < jas_.size(); ++pos) {
-    h ^= static_cast<std::uint64_t>(t.at(jas_.tuple_attr(pos)));
-    h *= 0x100000001b3ULL;
-  }
-  return h;
+std::uint64_t BitAddressIndex::value_chunk(std::size_t pos, Value v) const {
+  // mix64 is a bijection, so a one-position JAS (all 64 bits) filters
+  // exactly.
+  return (mix64(static_cast<std::uint64_t>(v)) >> (64 - sig_width_))
+         << (pos * static_cast<std::size_t>(sig_width_));
 }
 
-std::uint64_t BitAddressIndex::key_tag(const ProbeKey& key) const {
-  std::uint64_t h = 0xcbf29ce484222325ULL;
+std::uint64_t BitAddressIndex::tuple_tag(const Tuple& t) const {
+  std::uint64_t tag = 0;
   for (std::size_t pos = 0; pos < jas_.size(); ++pos) {
-    h ^= static_cast<std::uint64_t>(key.values[pos]);
-    h *= 0x100000001b3ULL;
+    tag |= value_chunk(pos, t.at(jas_.tuple_attr(pos)));
   }
-  return h;
+  return tag;
 }
 
 void BitAddressIndex::sync_memory() {
@@ -181,6 +179,12 @@ BitAddressIndex::ProbeLayout BitAddressIndex::layout_for(const ProbeKey& key) {
       layout.wildcard_bits += bits;
     }
   }
+  // The signature chunks of every bound position, indexed or not.
+  const std::uint64_t chunk_mask = low_bits64(sig_width_);
+  for_each_bit(key.mask, [&](unsigned pos) {
+    layout.sig |= value_chunk(pos, key.values[pos]);
+    layout.sig_mask |= chunk_mask << (pos * static_cast<unsigned>(sig_width_));
+  });
   return layout;
 }
 
@@ -189,10 +193,19 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
   ProbeStats stats;
   const ProbeLayout layout = layout_for(key);
 
-  auto scan_bucket = [&](const Bucket& bucket) {
-    for (const BucketEntry& e : bucket) {
-      ++stats.tuples_compared;
-      if (meter_ != nullptr) meter_->charge_compare();
+  // The one bucket scan of every strategy. It charges the visit and the
+  // modelled comparison of every entry (Eq. 1's C_c per stored tuple),
+  // then rejects entries whose signature disagrees with a bound value in
+  // bucket memory and verifies the rest on the tuple. A null bucket is an
+  // enumerated id with nothing stored: a visit alone.
+  const auto scan = [&](const Bucket* bucket) {
+    const std::size_t n = bucket == nullptr ? 0 : bucket->size();
+    ++stats.buckets_visited;
+    stats.tuples_compared += n;
+    if (meter_ != nullptr) meter_->charge_bucket_scan(n);
+    if (bucket == nullptr) return;
+    for (const BucketEntry& e : *bucket) {
+      if ((e.tag & layout.sig_mask) != layout.sig) continue;
       if (key.matches(*e.tuple, jas_)) {
         out.push_back(e.tuple);
         ++stats.matches;
@@ -206,60 +219,22 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
     (enum_count <= buckets_.size() ? probes_enumerated_ : probes_filtered_)
         ->add();
   }
-  if (layout.wildcard_bits == 0) {
-    // Fully bound: exactly one bucket, no enumeration machinery.
-    if (meter_ != nullptr) meter_->charge_bucket_visit();
-    ++stats.buckets_visited;
-    const Bucket* bucket = buckets_.find(layout.fixed);
-    if (bucket != nullptr) {
-      if (static_cast<std::size_t>(key.bound_count()) == jas_.size()) {
-        // Every JAS attribute is bound, so the stored whole-tuple tag is
-        // decisive: mismatching entries are rejected in the cached bucket
-        // memory without touching the tuple. The tag check is the modelled
-        // comparison (same tuples_compared / C_c charge as the slow path);
-        // matches() then guards against tag collisions.
-        const std::uint64_t tag = key_tag(key);
-        for (const BucketEntry& e : *bucket) {
-          ++stats.tuples_compared;
-          if (meter_ != nullptr) meter_->charge_compare();
-          if (e.tag != tag) continue;
-          if (key.matches(*e.tuple, jas_)) {
-            out.push_back(e.tuple);
-            ++stats.matches;
-          }
-        }
-      } else {
-        scan_bucket(*bucket);
-      }
-    }
-  } else if (enum_count <= buckets_.size()) {
-    // Enumerate the wildcard combinations and look each bucket id up.
-    // Distribute the enumeration counter's bits into the unfixed positions.
-    // Precompute the unfixed indexed bit positions (ascending).
-    SmallVector<std::uint8_t, 32> free_positions;
-    for (int bit = 0; bit < config_.total_bits(); ++bit) {
-      if ((layout.fixed_mask >> bit & 1u) == 0) {
-        free_positions.push_back(static_cast<std::uint8_t>(bit));
-      }
-    }
-    assert(static_cast<int>(free_positions.size()) == layout.wildcard_bits);
-    for (std::uint64_t w = 0; w < enum_count; ++w) {
-      BucketId id = layout.fixed;
-      for (std::size_t i = 0; i < free_positions.size(); ++i) {
-        if ((w >> i) & 1u) id |= BucketId{1} << free_positions[i];
-      }
-      if (meter_ != nullptr) meter_->charge_bucket_visit();
-      ++stats.buckets_visited;
-      const Bucket* bucket = buckets_.find(id);
-      if (bucket != nullptr) scan_bucket(*bucket);
-    }
+  if (layout.wildcard_bits == 0 || enum_count <= buckets_.size()) {
+    // Enumerate the 2^wildcard_bits bucket ids in ascending order by
+    // stepping through the subsets of the free (unfixed) bits; a fully
+    // bound probe has no free bits and visits exactly one bucket.
+    const BucketId free =
+        low_bits64(config_.total_bits()) & ~layout.fixed_mask;
+    assert(std::popcount(free) == layout.wildcard_bits);
+    BucketId sub = 0;
+    do {
+      scan(buckets_.find(layout.fixed | sub));
+      sub = (sub - free) & free;
+    } while (sub != 0);
   } else {
     // Cheaper to filter the flat directory by the fixed bits.
     buckets_.for_each([&](BucketId id, const Bucket& bucket) {
-      if ((id & layout.fixed_mask) != layout.fixed) return;
-      ++stats.buckets_visited;
-      if (meter_ != nullptr) meter_->charge_bucket_visit();
-      scan_bucket(bucket);
+      if ((id & layout.fixed_mask) == layout.fixed) scan(&bucket);
     });
   }
   return stats;
@@ -443,8 +418,8 @@ void BitAddressIndex::check_invariants() const {
                  "stored tuple does not rehash to its bucket under the "
                  "current IC (missed relocation during migration?)");
       AMRI_CHECK(e.tag == tuple_tag(*e.tuple),
-                 "stored value tag disagrees with a recomputation over the "
-                 "tuple's JAS values");
+                 "stored value signature disagrees with a recomputation over "
+                 "the tuple's JAS values");
     }
   });
   AMRI_CHECK(tuples == size_,
@@ -455,8 +430,9 @@ void BitAddressIndex::check_invariants() const {
 
 void BitAddressIndex::reconfigure(const IndexConfig& new_config) {
   assert(new_config.num_attrs() == jas_.size());
-  // Tags hash the tuples' JAS values, not the IC, so they survive the
-  // reconfiguration verbatim — collect entries, not bare tuple pointers.
+  // Signatures depend on the tuples' JAS values, not the IC, so they
+  // survive the reconfiguration verbatim — collect entries, not bare tuple
+  // pointers.
   std::vector<BucketEntry> all;
   all.reserve(size_);
   buckets_.for_each([&](BucketId, const Bucket& bucket) {

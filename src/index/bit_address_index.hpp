@@ -5,8 +5,12 @@
 //   * unbound indexed attributes become wildcards — the probe enumerates
 //     the 2^(wildcard bits) candidate buckets (or, when cheaper, filters
 //     the sparse bucket directory by the fixed bit positions);
-//   * attributes without bits contribute nothing and are verified by the
-//     final comparison pass.
+//   * attributes without bits contribute nothing to the bucket id and are
+//     verified by the final comparison pass.
+// Every stored entry carries a signature of its join-attribute values, so a
+// probe of any access pattern rejects most non-matching entries in bucket
+// memory before it dereferences a tuple (the modelled comparison is charged
+// either way).
 //
 // Buckets are stored sparsely in a flat open-addressing directory
 // (index/bucket_directory.hpp), so the bucket-id word can be wide while
@@ -127,12 +131,15 @@ class BitAddressIndex final : public TupleIndex {
  private:
   using Bucket = BucketDirectory::Bucket;
 
-  /// Probe layout: the fixed bits contributed by bound attributes and the
-  /// list of wildcard chunks to enumerate.
+  /// Probe layout: the fixed bits contributed by bound attributes, the
+  /// number of wildcard bits to enumerate, and the signature an entry must
+  /// carry to be worth verifying (`(tag & sig_mask) == sig`).
   struct ProbeLayout {
-    BucketId fixed = 0;       ///< bound-attribute bits in place
-    BucketId fixed_mask = 0;  ///< which bucket-id bits are fixed
-    int wildcard_bits = 0;    ///< total unbound indexed bits
+    BucketId fixed = 0;          ///< bound-attribute bits in place
+    BucketId fixed_mask = 0;     ///< which bucket-id bits are fixed
+    int wildcard_bits = 0;       ///< total unbound indexed bits
+    std::uint64_t sig = 0;       ///< bound positions' signature chunks
+    std::uint64_t sig_mask = 0;  ///< bits of the bound positions' chunks
   };
 
   ProbeLayout layout_for(const ProbeKey& key);
@@ -141,11 +148,15 @@ class BitAddressIndex final : public TupleIndex {
   BucketId bucket_of_uncharged(const Tuple& t) const;
   /// Indexed attributes (bits > 0): the hashes bucket_of charges.
   int indexed_attr_count() const;
-  /// Hash tag over a stored tuple's JAS values; fully-bound probes compare
-  /// this against the probe key's tag before dereferencing the tuple.
+  /// Value signature of JAS position `pos` holding `v`: the top
+  /// sig_width_ bits of mix64(v), shifted to the position's chunk at
+  /// pos * sig_width_. Equal values give equal chunks, so the signature
+  /// filter never rejects a match.
+  std::uint64_t value_chunk(std::size_t pos, Value v) const;
+  /// A stored tuple's signature: every JAS position's chunk. Probes of any
+  /// access pattern test the chunks of their bound positions against it
+  /// before dereferencing the tuple.
   std::uint64_t tuple_tag(const Tuple& t) const;
-  /// The same tag computed from a fully-bound probe key's values.
-  std::uint64_t key_tag(const ProbeKey& key) const;
   /// Sync tracked_bytes_ (and the MemoryTracker) to memory_bytes().
   void sync_memory();
 
@@ -154,6 +165,9 @@ class BitAddressIndex final : public TupleIndex {
   BitMapper mapper_;
   CostMeter* meter_;
   MemoryTracker* memory_;
+  /// Signature bits per JAS position: floor(64 / |JAS|), all 64 for a
+  /// one-position JAS (AttrMask caps the JAS at 32 positions).
+  int sig_width_;
   BucketDirectory buckets_;
   std::size_t size_ = 0;
   std::size_t tracked_bytes_ = 0;

@@ -30,6 +30,7 @@
 #include <vector>
 
 #include "common/assertions.hpp"
+#include "common/bitops.hpp"
 #include "common/small_vector.hpp"
 #include "common/tuple.hpp"
 #include "common/types.hpp"
@@ -39,15 +40,18 @@ namespace amri::index {
 /// Tuple entries stored inline per bucket before spilling to the heap.
 inline constexpr std::size_t kInlineBucketTuples = 2;
 
-/// One stored tuple plus a hash tag of its join-attribute values. Probes
-/// that bind every JAS attribute compare tags first and only dereference
-/// tuples whose tag matches — the bucket memory is already in cache, so a
-/// mismatching tuple costs no random memory touch (the chained directory
-/// this replaces had to chase every tuple pointer).
+/// One stored tuple plus a signature of its join-attribute values (the
+/// owning index defines its layout: one chunk of bits per JAS position).
+/// Every probe compares the chunks of its bound positions first and only
+/// dereferences tuples whose chunks match, so a mismatching entry is
+/// rejected in bucket memory without a random touch of the tuple or of
+/// its heap-spilled values.
 struct BucketEntry {
   const Tuple* tuple = nullptr;
   std::uint64_t tag = 0;
 };
+// Memory accounting (and so peak_memory_mb) counts entries at this size.
+static_assert(sizeof(BucketEntry) == 16);
 
 class BucketDirectory {
  public:
@@ -67,7 +71,7 @@ class BucketDirectory {
   /// Slot-array capacity (0 until the first insert; power of two after).
   std::size_t capacity() const { return slots_.size(); }
 
-  /// Append `t` (with its value tag) to `key`'s bucket, creating the
+  /// Append `t` (with its value signature) to `key`'s bucket, creating the
   /// bucket if absent. Returns the bucket's size after the append (the
   /// chain length telemetry observes).
   std::size_t insert(BucketId key, const Tuple* t, std::uint64_t tag = 0) {
@@ -200,17 +204,10 @@ class BucketDirectory {
     return cap - cap / 8;
   }
 
-  /// SplitMix64 finalizer: bucket ids are bit-concatenations of mapper
-  /// chunks, so low bits alone cluster badly under a power-of-two mask.
-  static constexpr std::uint64_t mix(BucketId key) {
-    std::uint64_t z = key + 0x9e3779b97f4a7c15ULL;
-    z = (z ^ (z >> 30)) * 0xbf58476d1ce4e5b9ULL;
-    z = (z ^ (z >> 27)) * 0x94d049bb133111ebULL;
-    return z ^ (z >> 31);
-  }
-
+  /// Bucket ids are bit-concatenations of mapper chunks, so low bits alone
+  /// cluster badly under a power-of-two mask: mix them first.
   std::size_t home_slot(BucketId key) const {
-    return mix(key) & (slots_.size() - 1);
+    return mix64(key) & (slots_.size() - 1);
   }
 
   static std::size_t heap_bytes(const Bucket& b) {

@@ -10,20 +10,6 @@
 
 namespace amri::index {
 
-namespace {
-
-/// splitmix64 finaliser: the shard route must be a stable function of the
-/// sharding attribute's value alone, independent of the BitMapper (which
-/// reconfiguration retrains) so migrations never move tuples across shards.
-std::uint64_t mix64(std::uint64_t x) {
-  x += 0x9e3779b97f4a7c15ULL;
-  x = (x ^ (x >> 30)) * 0xbf58476d1ce4e5b9ULL;
-  x = (x ^ (x >> 27)) * 0x94d049bb133111ebULL;
-  return x ^ (x >> 31);
-}
-
-}  // namespace
-
 ShardedBitIndex::ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
                                  BitMapper mapper, std::size_t shards,
                                  std::size_t shard_pos, CostMeter* meter,
@@ -42,6 +28,9 @@ ShardedBitIndex::ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
 }
 
 std::size_t ShardedBitIndex::shard_of_value(Value v) const {
+  // The shard route must be a stable function of the sharding attribute's
+  // value alone, independent of the BitMapper (which reconfiguration
+  // retrains), so migrations never move tuples across shards.
   if (shards_.size() == 1) return 0;
   return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(v)) %
                                   shards_.size());

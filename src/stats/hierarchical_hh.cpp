@@ -17,16 +17,16 @@ HierarchicalHeavyHitter::HierarchicalHeavyHitter(AttrMask universe,
   if (segment_width_ == 0) segment_width_ = 1;
 }
 
-void HierarchicalHeavyHitter::observe(AttrMask mask, std::uint64_t weight) {
+void HierarchicalHeavyHitter::observe(AttrMask mask) {
   assert(is_subset(mask, lattice_.shape().universe()));
   const std::uint64_t sid = segment_id();
   auto& counts = lattice_.counts();
   if (counts.find(mask) == nullptr) {
-    counts.add(mask, weight, sid == 0 ? 0 : sid - 1);
+    counts.add(mask, 1, sid == 0 ? 0 : sid - 1);
   } else {
-    counts.add(mask, weight);
+    counts.add(mask);
   }
-  observed_ += weight;
+  ++observed_;
   if (observed_ % segment_width_ == 0) compress();
 }
 

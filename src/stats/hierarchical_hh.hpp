@@ -52,7 +52,7 @@ class HierarchicalHeavyHitter {
 
   /// Process one access-pattern observation; runs leaf compression at each
   /// segment boundary.
-  void observe(AttrMask mask, std::uint64_t weight = 1);
+  void observe(AttrMask mask);
 
   /// Segment-boundary compression (public so tests can drive it directly).
   void compress();

@@ -49,13 +49,9 @@ class LossyCounting {
   std::uint64_t observed() const { return observed_; }
   std::size_t size() const { return table_.size(); }
 
-  /// Process one stream element (a weighted element counts as `weight`
-  /// unit observations). Runs the boundary compression pass automatically
-  /// whenever the update crosses into a new segment — including a weighted
-  /// update that jumps *past* one or more boundaries, which the previous
-  /// `observed_ % segment_width_ == 0` trigger silently skipped, letting
-  /// the table grow past the Manku–Motwani space bound.
-  void observe(const Key& key, std::uint64_t weight = 1) {
+  /// Process one stream element. Runs the boundary compression pass
+  /// whenever the element completes a segment.
+  void observe(const Key& key) {
     auto [it, inserted] = table_.try_emplace(key, Item{key, 0, 0});
     if (inserted) {
       // delta = current segment id - 1 == floor(eps*N), clamped at 0.
@@ -63,10 +59,9 @@ class LossyCounting {
       // Manku-Motwani uses b_current - 1 where b_current = segment_id + 1.
       // segment_id() here is already b_current - 1 before this element.
     }
-    const std::uint64_t segment_before = segment_id();
-    it->second.count += weight;
-    observed_ += weight;
-    if (segment_id() != segment_before) {
+    ++it->second.count;
+    ++observed_;
+    if (observed_ % segment_width_ == 0) {
       compress();
       AMRI_CHECK_INVARIANTS(*this);
     }

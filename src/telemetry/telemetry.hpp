@@ -71,9 +71,9 @@ class Telemetry {
   // synchronized.
   std::uint64_t begin_span() { return active_span_ = ++next_span_id_; }
   /// Re-activate a span id returned by begin_span(). The batched executor
-  /// allocates the span when the arrival is drained, suspends it while the
-  /// rest of the batch is assembled, and resumes it around the run that
-  /// routes the sampled tuple.
+  /// allocates the span when the arrival is drained and suspends it while
+  /// the rest of the batch is assembled; the eddy resumes it while it
+  /// routes the sampled arrival and ends it afterwards.
   void resume_span(std::uint64_t id) { active_span_ = id; }
   void end_span() { active_span_ = 0; }
   std::uint64_t active_span() const { return active_span_; }

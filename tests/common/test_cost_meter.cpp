@@ -2,6 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <bit>
+#include <cstdint>
+#include <vector>
+
+#include "common/rng.hpp"
+
 namespace amri {
 namespace {
 
@@ -113,6 +119,89 @@ TEST(CostMeter, AllCategoriesCharge) {
   meter.charge_bucket_visit();
   EXPECT_EQ(clock.now(), 6);
   EXPECT_EQ(meter.bucket_visits(), 1u);
+}
+
+/// Two meters with the same costs, each on its own clock (or both without
+/// one): `single` charges one call at a time, `scan` charges a bucket at a
+/// time. Both start from the same non-zero fractional remainder.
+struct ScanPair {
+  ScanPair(double visit, double compare, bool with_clock, TimeMicros start)
+      : single_clock(start), scan_clock(start) {
+    CostParams params;
+    params.hash_cost_us = 0.15;
+    params.bucket_visit_cost_us = visit;
+    params.compare_cost_us = compare;
+    single = CostMeter(with_clock ? &single_clock : nullptr, params);
+    scan = CostMeter(with_clock ? &scan_clock : nullptr, params);
+    single.charge_hash(3);
+    scan.charge_hash(3);
+  }
+
+  void charge(std::uint64_t n) {
+    single.charge_bucket_visit();
+    for (std::uint64_t i = 0; i < n; ++i) single.charge_compare();
+    scan.charge_bucket_scan(n);
+  }
+
+  void expect_identical(const char* when) const {
+    EXPECT_EQ(std::bit_cast<std::uint64_t>(single.charged_us()),
+              std::bit_cast<std::uint64_t>(scan.charged_us()))
+        << when << ": " << single.charged_us() << " vs " << scan.charged_us();
+    EXPECT_EQ(single.hashes(), scan.hashes()) << when;
+    EXPECT_EQ(single.compares(), scan.compares()) << when;
+    EXPECT_EQ(single.routes(), scan.routes()) << when;
+    EXPECT_EQ(single.inserts(), scan.inserts()) << when;
+    EXPECT_EQ(single.deletes(), scan.deletes()) << when;
+    EXPECT_EQ(single.bucket_visits(), scan.bucket_visits()) << when;
+    EXPECT_EQ(single_clock.now(), scan_clock.now()) << when;
+  }
+
+  VirtualClock single_clock;
+  VirtualClock scan_clock;
+  CostMeter single;
+  CostMeter scan;
+};
+
+TEST(CostMeter, BucketScanIsBitIdenticalToSingleCharges) {
+  // fig7_drift's costs, the defaults, and a compare cost with no finite
+  // binary expansion.
+  const double costs[][2] = {{0.1, 0.35}, {0.02, 0.05}, {0.02, 1.0 / 3.0}};
+  std::vector<std::uint64_t> counts = {0, 1, 7, 20, 1000};
+  Rng rng(2026);
+  for (int i = 0; i < 20; ++i) counts.push_back(rng.below(3000));
+  for (const auto& cost : costs) {
+    for (const bool with_clock : {true, false}) {
+      for (const std::uint64_t n : counts) {
+        SCOPED_TRACE(::testing::Message()
+                     << "visit " << cost[0] << ", compare " << cost[1]
+                     << ", n " << n << (with_clock ? ", clock" : ", no clock"));
+        ScanPair pair(cost[0], cost[1], with_clock, 0);
+        pair.charge(n);
+        pair.expect_identical("after the scan");
+        // One further single charge exposes any difference in the pending
+        // fractional remainder.
+        pair.single.charge_compare();
+        pair.scan.charge_compare();
+        pair.expect_identical("after one more compare");
+      }
+      // Scans back to back carry the remainder from one to the next.
+      ScanPair chained(cost[0], cost[1], with_clock, 0);
+      for (const std::uint64_t n : counts) chained.charge(n);
+      chained.expect_identical("after chained scans");
+    }
+  }
+}
+
+TEST(CostMeter, BucketScanSaturatesTheClockLikeSingleCharges) {
+  ScanPair pair(0.1, 0.35, /*with_clock=*/true, kTimeMax - 50);
+  pair.charge(20);
+  pair.expect_identical("below the limit");
+  pair.charge(1000);
+  pair.expect_identical("saturated");
+  EXPECT_EQ(pair.scan_clock.now(), kTimeMax);
+  pair.single.charge_compare();
+  pair.scan.charge_compare();
+  pair.expect_identical("after one more compare");
 }
 
 }  // namespace

@@ -260,6 +260,49 @@ TEST(SpanTrace, MultiQueryHopsStayWithTheirArrival) {
   }
 }
 
+// Regression: the run loop kept the traced arrival's span active for its
+// whole segment, so a sharded state's fan-out probes made for the segment's
+// other arrivals logged "fanout" events into that span. A fan-out event
+// belongs to one probe and every probe of a traced arrival logs a hop, so
+// no span may hold more fanout events than hops.
+TEST(SpanTrace, FanoutEventsStayWithTheirArrival) {
+  const QuerySpec q = make_complete_join_query(3, seconds_to_micros(500));
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 96; ++i) {
+    // Same-stream runs of 4 arrivals, 8 due at once: a batch of 8 routes
+    // as two segments of 4.
+    const auto stream = static_cast<StreamId>((i / 4) % 3);
+    tuples.push_back(mk(stream, i / 8 + 1.0, {i % 3, i % 2}));
+  }
+  telemetry::Telemetry telemetry;
+  ScriptedSource src(tuples);
+  ExecutorOptions o = traced_options(&telemetry, 1);
+  o.stem.backend = IndexBackend::kStaticBitmap;
+  o.stem.initial_config = index::IndexConfig({1, 1});
+  o.stem.shards = 4;
+  o.batch_size = 8;
+  Executor ex(q, o);
+  ex.run(src);
+
+  std::map<std::int64_t, int> hops;
+  std::map<std::int64_t, int> fanouts;
+  int total_fanouts = 0;
+  for (const telemetry::Event& e : telemetry.events().snapshot()) {
+    if (e.kind != telemetry::EventKind::kSpan) continue;
+    const std::int64_t span = json_int(e.payload, "span");
+    const std::string stage = json_str(e.payload, "stage");
+    if (stage == "hop") ++hops[span];
+    if (stage == "fanout") {
+      ++fanouts[span];
+      ++total_fanouts;
+    }
+  }
+  ASSERT_GT(total_fanouts, 0) << "precondition: some probe fanned out";
+  for (const auto& [span, n] : fanouts) {
+    EXPECT_LE(n, hops[span]) << "span " << span;
+  }
+}
+
 TEST(SpanTrace, NoSamplingMeansNoSpanEvents) {
   const QuerySpec q = make_complete_join_query(2, seconds_to_micros(500));
   telemetry::Telemetry telemetry;

@@ -5,13 +5,19 @@
 // driven through the same seeded mixed sequence of insert / erase / probe /
 // probe_range / reconfigure operations and must agree on every observable:
 // match sets, match counts, tuples compared, size, and occupied buckets.
+// The reference has no value signatures, so the 1- and 9-attribute cases
+// check that signature filtering never loses a match: their values include
+// the extremes of Value and values whose 7-bit signature chunks collide.
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <limits>
+#include <memory>
 #include <unordered_map>
 #include <vector>
 
-#include "../test_util.hpp"
+#include "common/bitops.hpp"
 #include "common/rng.hpp"
 #include "index/bit_address_index.hpp"
 
@@ -55,9 +61,10 @@ class ReferenceIndex {
     --size_;
   }
 
-  ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) const {
-    // Fixed bits contributed by bound indexed attributes (mirrors
-    // BitAddressIndex::layout_for without the cost-meter charges).
+  /// The tuples a probe compares: every tuple of every bucket whose id
+  /// agrees with the fixed bits of the bound indexed attributes (mirrors
+  /// BitAddressIndex::layout_for without the cost-meter charges).
+  std::vector<const Tuple*> candidates(const ProbeKey& key) const {
     BucketId fixed = 0;
     BucketId fixed_mask = 0;
     for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
@@ -68,15 +75,21 @@ class ReferenceIndex {
       fixed |= mapper_.map(pos, key.values[pos], bits) << config_.shift_of(pos);
       fixed_mask |= low_bits64(bits) << config_.shift_of(pos);
     }
-    ProbeStats stats;
+    std::vector<const Tuple*> out;
     for (const auto& [id, bucket] : buckets_) {
       if ((id & fixed_mask) != fixed) continue;
-      for (const Tuple* t : bucket) {
-        ++stats.tuples_compared;
-        if (key.matches(*t, jas_)) {
-          out.push_back(t);
-          ++stats.matches;
-        }
+      out.insert(out.end(), bucket.begin(), bucket.end());
+    }
+    return out;
+  }
+
+  ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) const {
+    ProbeStats stats;
+    for (const Tuple* t : candidates(key)) {
+      ++stats.tuples_compared;
+      if (key.matches(*t, jas_)) {
+        out.push_back(t);
+        ++stats.matches;
       }
     }
     return stats;
@@ -180,26 +193,81 @@ std::vector<std::pair<BucketId, std::vector<const Tuple*>>> snapshot_of(
   return snap;
 }
 
-IndexConfig random_config(Rng& rng) {
-  std::vector<std::uint8_t> bits(3);
+IndexConfig random_config(Rng& rng, std::size_t width) {
+  std::vector<std::uint8_t> bits(width);
   for (auto& b : bits) b = static_cast<std::uint8_t>(rng.below(4));
   return IndexConfig(bits);
 }
 
-/// Drive both indexes through `total_ops` seeded mixed operations and
-/// compare every observable after each probe plus periodic deep snapshots.
-void run_differential(BitMapper mapper, std::uint64_t seed,
-                      std::size_t total_ops) {
+/// Values whose top 7 mixed bits (the signature chunk of a 9-attribute
+/// JAS) equal those of 0, 0 first.
+std::vector<Value> chunk_colliders(std::size_t count) {
+  const auto chunk = [](Value v) {
+    return mix64(static_cast<std::uint64_t>(v)) >> 57;
+  };
+  std::vector<Value> out = {0};
+  for (Value v = 1; out.size() < count; ++v) {
+    if (chunk(v) == chunk(0)) out.push_back(v);
+  }
+  return out;
+}
+
+/// Values of the signature cases: the extremes of Value, -1, and values
+/// whose 7-bit chunks collide.
+std::vector<Value> hostile_values() {
+  std::vector<Value> out = {std::numeric_limits<Value>::min(),
+                            std::numeric_limits<Value>::max(), -1};
+  for (const Value v : chunk_colliders(8)) out.push_back(v);
+  return out;
+}
+
+/// Drive both indexes through `total_ops` seeded mixed operations on a JAS
+/// of `width` attributes and compare every observable after each probe plus
+/// periodic deep snapshots. Tuple and probe values are uniform in a small
+/// domain, or, when `special` is non-empty, a quarter of them come from it.
+/// `collisions`, when set, receives how many compared tuples had the
+/// signature chunks of every bound value (as BitAddressIndex lays them
+/// out) but not every value: the entries its filter passes and matches()
+/// must reject.
+void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
+                      std::size_t total_ops,
+                      const std::vector<Value>& special = {},
+                      std::size_t* collisions = nullptr) {
   const Value kDomain = 60;
-  JoinAttributeSet jas({0, 1, 2});
-  IndexConfig config({3, 2, 2});
+  std::vector<AttrId> attrs;
+  std::vector<std::uint8_t> bits;
+  for (std::size_t pos = 0; pos < width; ++pos) {
+    attrs.push_back(static_cast<AttrId>(pos));
+    bits.push_back(pos == 0 ? 3 : pos < 3 ? 2 : 1);
+  }
+  JoinAttributeSet jas(attrs);
+  IndexConfig config(bits);
   BitAddressIndex idx(jas, config, mapper);
   ReferenceIndex ref(jas, config, mapper);
 
-  testutil::TuplePool pool(3000, 3, static_cast<int>(kDomain), seed + 1);
-  std::vector<const Tuple*> free_list = pool.pointers();
+  // Without special values this draws what testutil::TuplePool draws.
+  const auto draw = [&](Rng& r) {
+    if (!special.empty() && r.chance(0.25)) {
+      return special[r.below(special.size())];
+    }
+    return static_cast<Value>(r.below(static_cast<std::uint64_t>(kDomain)));
+  };
+  std::vector<std::unique_ptr<Tuple>> pool;
+  Rng pool_rng(seed + 1);
+  for (std::size_t i = 0; i < 3000; ++i) {
+    auto t = std::make_unique<Tuple>();
+    t->seq = i;
+    t->ts = static_cast<TimeMicros>(i);
+    for (std::size_t pos = 0; pos < width; ++pos) {
+      t->values.push_back(draw(pool_rng));
+    }
+    pool.push_back(std::move(t));
+  }
+  std::vector<const Tuple*> free_list;
+  for (const auto& t : pool) free_list.push_back(t.get());
   std::vector<const Tuple*> live;
   Rng rng(seed);
+  const AttrMask universe = jas.universe();
 
   std::size_t probes_run = 0;
   for (std::size_t op = 0; op < total_ops; ++op) {
@@ -224,13 +292,12 @@ void run_differential(BitMapper mapper, std::uint64_t seed,
       // Point probe with a random access pattern; values come from a live
       // tuple half the time (guaranteed hits) and fresh randomness the rest.
       ProbeKey key;
-      key.mask = static_cast<AttrMask>(rng.below(8));
-      for (std::size_t pos = 0; pos < 3; ++pos) {
+      key.mask = static_cast<AttrMask>(rng.below(std::uint64_t{universe} + 1));
+      for (std::size_t pos = 0; pos < width; ++pos) {
         const Value v = (!live.empty() && rng.chance(0.5))
                             ? live[rng.below(live.size())]->at(
                                   jas.tuple_attr(pos))
-                            : static_cast<Value>(rng.below(
-                                  static_cast<std::uint64_t>(kDomain)));
+                            : draw(rng);
         key.values.push_back(v);
       }
       std::vector<const Tuple*> got;
@@ -244,11 +311,27 @@ void run_differential(BitMapper mapper, std::uint64_t seed,
       std::sort(want.begin(), want.end());
       EXPECT_EQ(got, want) << "op " << op;
       ++probes_run;
+      if (collisions != nullptr) {
+        const int chunk_bits = 64 / static_cast<int>(width);
+        const auto chunk = [&](Value v) {
+          return mix64(static_cast<std::uint64_t>(v)) >> (64 - chunk_bits);
+        };
+        for (const Tuple* t : ref.candidates(key)) {
+          bool chunks_equal = true;
+          for_each_bit(key.mask, [&](unsigned pos) {
+            if (chunk(t->at(jas.tuple_attr(pos))) != chunk(key.values[pos])) {
+              chunks_equal = false;
+            }
+          });
+          if (chunks_equal && !key.matches(*t, jas)) ++*collisions;
+        }
+      }
     } else if (dice < 97) {
       // Range probe over random inclusive intervals.
       RangeProbeKey key;
-      const AttrMask mask = static_cast<AttrMask>(rng.below(8));
-      for (std::size_t pos = 0; pos < 3; ++pos) {
+      const AttrMask mask =
+          static_cast<AttrMask>(rng.below(std::uint64_t{universe} + 1));
+      for (std::size_t pos = 0; pos < width; ++pos) {
         if (!has_bit(mask, static_cast<unsigned>(pos))) continue;
         Value lo = static_cast<Value>(
             rng.below(static_cast<std::uint64_t>(kDomain)));
@@ -271,7 +354,7 @@ void run_differential(BitMapper mapper, std::uint64_t seed,
       EXPECT_EQ(got, want) << "op " << op;
       ++probes_run;
     } else {
-      const IndexConfig next = random_config(rng);
+      const IndexConfig next = random_config(rng, width);
       idx.reconfigure(next);
       ref.reconfigure(next);
     }
@@ -293,13 +376,30 @@ void run_differential(BitMapper mapper, std::uint64_t seed,
 }
 
 TEST(IndexDifferential, MixedOpsHashMapper) {
-  run_differential(BitMapper::hashing(3), /*seed=*/42, /*total_ops=*/12000);
+  run_differential(BitMapper::hashing(3), /*width=*/3, /*seed=*/42,
+                   /*total_ops=*/12000);
 }
 
 TEST(IndexDifferential, MixedOpsRangeMapper) {
   run_differential(
-      BitMapper::ranged({{0, 59}, {0, 59}, {0, 59}}),
+      BitMapper::ranged({{0, 59}, {0, 59}, {0, 59}}), /*width=*/3,
       /*seed=*/1234, /*total_ops=*/12000);
+}
+
+TEST(IndexDifferential, OneAttributeSignatureKeepsEveryMatch) {
+  // One JAS position: its signature chunk is all 64 mixed bits.
+  run_differential(BitMapper::hashing(1), /*width=*/1, /*seed=*/77,
+                   /*total_ops=*/12000, hostile_values());
+}
+
+TEST(IndexDifferential, NineAttributeSignatureKeepsEveryMatch) {
+  // Nine JAS positions: 7-bit chunks, and tuple values spill past
+  // kInlineAttrs to the heap.
+  ASSERT_GT(9u, kInlineAttrs);
+  std::size_t collisions = 0;
+  run_differential(BitMapper::hashing(9), /*width=*/9, /*seed=*/91,
+                   /*total_ops=*/12000, hostile_values(), &collisions);
+  EXPECT_GT(collisions, 0u) << "no probe met a colliding signature";
 }
 
 }  // namespace

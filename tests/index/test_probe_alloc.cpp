@@ -1,11 +1,12 @@
 // Allocation checks on the probe, routing and optimizer hot paths. Once a
 // warm-up probe has sized the output vector, BitAddressIndex::probe
-// allocates nothing on any of its three strategies (fully bound tag path,
-// wildcard enumeration, directory filtering): the wildcard bit positions
-// live in an inline SmallVector sized past IndexConfig::kMaxTotalBits.
-// Once a first route has sized its arenas, EddyRouter::route allocates
-// nothing per partial. The exhaustive index optimizer allocates nothing
-// per non-improving candidate.
+// allocates nothing on any of its three strategies (a fully bound probe's
+// one bucket, wildcard enumeration, directory filtering): wildcard bucket
+// ids come from stepping through subsets of the free bits, and the value
+// signature is two words. Once a first route has sized its arenas,
+// EddyRouter::route allocates nothing per partial, also when the probed
+// state's JAS is wider than kInlineAttrs. The exhaustive index optimizer
+// allocates nothing per non-improving candidate.
 //
 // Instrumented with replacement global new/delete that count only while a
 // thread-local flag is up; everything outside the `AllocTracker` scopes
@@ -16,6 +17,7 @@
 #include <cstdlib>
 #include <memory>
 #include <new>
+#include <string>
 #include <vector>
 
 #include "../test_util.hpp"
@@ -109,7 +111,7 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
   for (const Tuple* t : sparse_pool.pointers()) sparse.insert(t);
 
   const Tuple& first = *dense_pool.at(0);
-  ProbeKey bound;  // every JAS attribute bound: one bucket, tag compare
+  ProbeKey bound;  // every JAS attribute bound: one bucket
   bound.mask = 0b111;
   bound.values = {first.at(0), first.at(1), first.at(2)};
   ProbeKey wildcard;  // nothing bound: 12 wildcard bits
@@ -133,7 +135,7 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
     EXPECT_EQ(stats.matches, warm_matches);
     return allocs.count;
   };
-  EXPECT_EQ(tracked_allocs(dense, bound), 0u) << "fully bound tag path";
+  EXPECT_EQ(tracked_allocs(dense, bound), 0u) << "fully bound probe";
   EXPECT_EQ(tracked_allocs(dense, wildcard), 0u) << "wildcard enumeration";
   EXPECT_EQ(tracked_allocs(sparse, wildcard), 0u) << "directory filtering";
 
@@ -148,18 +150,24 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
   EXPECT_EQ(counter("sparse.probe.filtered"), 2u);
 }
 
-TEST(ProbeAlloc, EddyRouteAllocatesNothingOnceWarm) {
-  // Three streams whose tuples all join: a stream-0 arrival expands into
-  // 1 + 20 + 400 partials. Static bit-address states drop their tuner at
-  // finish_warmup(), so probes feed no assessor.
-  const engine::QuerySpec q =
-      engine::make_complete_join_query(3, seconds_to_micros(1000));
+/// Inserts `per_stream` tuples carrying `values` into every stream's static
+/// bit-address state, round-robin so the last one lands in the last stream,
+/// and routes that last arrival twice. The first route sizes the stack, the
+/// candidate list, the probe key, every probe scratch arena, the result sink
+/// and the routing-statistics table; both routes must produce `results`
+/// complete results. Returns the allocations of the second route. Static
+/// states drop their tuner at finish_warmup(), so probes feed no assessor.
+std::uint64_t warm_route_allocations(const engine::QuerySpec& q,
+                                     const IndexConfig& config,
+                                     std::initializer_list<Value> values,
+                                     int per_stream, std::uint64_t results) {
   engine::StemOptions so;
   so.backend = engine::IndexBackend::kStaticBitmap;
-  so.initial_config = IndexConfig({2, 2});
+  so.initial_config = config;
+  const auto k = static_cast<int>(q.num_streams());
   std::vector<std::unique_ptr<engine::StemOperator>> stems;
   std::vector<engine::StemOperator*> ptrs;
-  for (StreamId s = 0; s < 3; ++s) {
+  for (StreamId s = 0; s < q.num_streams(); ++s) {
     stems.push_back(std::make_unique<engine::StemOperator>(
         s, q.layout(s), q.window(), so, CostModel(WorkloadParams{})));
     stems.back()->finish_warmup();
@@ -170,17 +178,14 @@ TEST(ProbeAlloc, EddyRouteAllocatesNothingOnceWarm) {
   eo.routing.kind = engine::RoutingPolicyKind::kFixed;
   engine::EddyRouter eddy(q, std::move(ptrs), eo, &meter);
   const Tuple* arrival = nullptr;
-  for (int i = 0; i < 60; ++i) {
-    const auto s = static_cast<StreamId>(i % 3);
-    arrival = stems[s]->insert(testutil::make_tuple({0, 0}, i, i + 1, s));
+  for (int i = 0; i < per_stream * k; ++i) {
+    const auto s = static_cast<StreamId>(i % k);
+    arrival = stems[s]->insert(testutil::make_tuple(values, i, i + 1, s));
   }
-  ASSERT_EQ(arrival->stream, 2);
+  EXPECT_EQ(arrival->stream, static_cast<StreamId>(k - 1));
 
-  // The first route sizes the stack, the candidate list, every probe
-  // scratch arena, the result sink and the routing-statistics table.
   std::vector<engine::JoinResult> sink;
-  const std::uint64_t warm = eddy.route(arrival, &sink);
-  ASSERT_EQ(warm, 400u);
+  EXPECT_EQ(eddy.route(arrival, &sink), results);
   sink.clear();
   AllocStats allocs;
   std::uint64_t produced = 0;
@@ -189,8 +194,38 @@ TEST(ProbeAlloc, EddyRouteAllocatesNothingOnceWarm) {
     produced = eddy.route(arrival, &sink);
     allocs = tracker.stop();
   }
-  EXPECT_EQ(produced, warm);
-  EXPECT_EQ(allocs.count, 0u);
+  EXPECT_EQ(produced, results);
+  return allocs.count;
+}
+
+TEST(ProbeAlloc, EddyRouteAllocatesNothingOnceWarm) {
+  // Three streams whose tuples all join: a stream-2 arrival expands into
+  // 1 + 20 + 400 partials.
+  const engine::QuerySpec complete =
+      engine::make_complete_join_query(3, seconds_to_micros(1000));
+  EXPECT_EQ(warm_route_allocations(complete, IndexConfig({2, 2}), {0, 0},
+                                   /*per_stream=*/20, /*results=*/400),
+            0u)
+      << "3-stream complete join";
+
+  // Two streams joined on 9 attributes: the probed state's JAS is wider
+  // than kInlineAttrs, so a probe key built per hop would spill its values
+  // to the heap on every probe.
+  std::vector<std::string> names;
+  std::vector<engine::JoinPredicate> preds;
+  for (AttrId a = 0; a < 9; ++a) {
+    names.push_back("a" + std::to_string(a));
+    preds.push_back(engine::JoinPredicate{0, a, 1, a});
+  }
+  const engine::QuerySpec wide({Schema("R", names), Schema("S", names)},
+                               preds, seconds_to_micros(1000));
+  ASSERT_EQ(wide.layout(0).jas.size(), 9u);
+  const IndexConfig wide_config({2, 2, 0, 0, 0, 0, 0, 0, 0});
+  EXPECT_EQ(warm_route_allocations(wide, wide_config,
+                                   {0, 0, 0, 0, 0, 0, 0, 0, 0},
+                                   /*per_stream=*/20, /*results=*/20),
+            0u)
+      << "9-attribute JAS";
 }
 
 TEST(ProbeAlloc, ExhaustiveOptimizerAllocationsDoNotGrowWithLeaves) {

@@ -149,51 +149,6 @@ TEST(LossyCounting, ClearResets) {
   EXPECT_EQ(lc.estimate(1), 0u);
 }
 
-// Regression for the weighted-observe compression trigger. The old code
-// compressed only when `observed_ % segment_width_ == 0`; a weighted stream
-// whose running total jumps *past* segment boundaries without landing on
-// one therefore never compressed, and the table grew without bound. With a
-// width of 10, a one-unit offset followed by weight-2 updates keeps the
-// total permanently odd — the modulo never fires, while the fixed
-// before/after segment-id comparison fires on every boundary crossing.
-TEST(LossyCounting, WeightedStreamSkippingBoundariesStillCompresses) {
-  LossyCounting<int> lc(0.1);
-  ASSERT_EQ(lc.segment_width(), 10u);
-  lc.observe(-1, 1);
-  for (int i = 0; i < 1000; ++i) lc.observe(i, 2);
-  // Each weight-2 distinct key survives roughly two segments past its
-  // insertion; the live table stays near the Manku–Motwani bound. The
-  // broken trigger retained all 1001 entries.
-  EXPECT_LE(lc.size(), 100u);
-  EXPECT_EQ(lc.observed(), 2001u);
-  lc.check_invariants();
-}
-
-TEST(LossyCounting, WeightJumpingMultipleSegmentsCompresses) {
-  LossyCounting<int> lc(0.25);  // segment width 4
-  // weight 7 crosses one or two boundaries per observation and is never a
-  // multiple of the width, so the old trigger was silent here too.
-  for (int i = 0; i < 200; ++i) lc.observe(i, 7);
-  EXPECT_LE(lc.size(), 30u);
-  lc.check_invariants();
-}
-
-TEST(LossyCounting, WeightedEstimatesNeverOvercount) {
-  LossyCounting<std::uint32_t> lc(0.02);
-  std::map<std::uint32_t, std::uint64_t> truth;
-  amri::Rng rng(53);
-  for (int i = 0; i < 20000; ++i) {
-    const auto k = static_cast<std::uint32_t>(rng.below(200));
-    const std::uint64_t w = 1 + rng.below(5);
-    truth[k] += w;
-    lc.observe(k, w);
-  }
-  for (const auto& [k, true_count] : truth) {
-    EXPECT_LE(lc.estimate(k), true_count);
-  }
-  lc.check_invariants();
-}
-
 TEST(LossyCounting, InvariantsHoldAcrossCompressions) {
   LossyCounting<int> lc(0.01);
   for (int i = 0; i < 50000; ++i) {
