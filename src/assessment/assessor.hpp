@@ -31,11 +31,11 @@ enum class AssessorKind : std::uint8_t {
   kCdiaHighestCount,
 };
 
-/// Mergeable dump of one assessor's retained statistics, used by sharded
-/// stems: each shard assesses the probes it served, and at tuner epochs the
-/// per-shard snapshots are merged (merge_snapshots) and thresholded
-/// (snapshot_results, see assessment/snapshot.hpp) so the tuner still sees
-/// one logical state. The kind-specific parameters travel with the data so
+/// Mergeable dump of one assessor's retained statistics. A tuner keeps one
+/// assessor cell per (query, shard) of its state, each assessing the probes
+/// attributed to it, and at every decision the cells' snapshots are merged
+/// (merge_snapshots) and thresholded (snapshot_results, see
+/// assessment/snapshot.hpp) so the tuner sees one logical state. The kind-specific parameters travel with the data so
 /// the merged answer reproduces the kind's results() semantics.
 ///
 /// Merge soundness per kind: SRIA and DIA counts are exact and additive, so

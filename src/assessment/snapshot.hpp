@@ -1,14 +1,15 @@
-// Merging per-shard assessment snapshots back into one logical answer.
+// Merging assessor-cell snapshots back into one logical answer.
 //
-// A sharded STeM runs one assessor per shard; every probe is attributed to
-// exactly one shard, so the shard substreams partition the state's request
-// stream. At tuner epochs the shards' AssessmentSnapshots are merged by
-// summing per-mask counts (and error bounds), and snapshot_results()
-// reproduces the kind's Assessor::results() semantics over the merged
-// statistics:
+// A state's tuner runs one assessor cell per (query, shard) — one for a
+// plain state; every probe is attributed to exactly one cell, so the cell
+// substreams partition the state's request stream. At every decision the
+// cells' AssessmentSnapshots are merged by summing per-mask counts (and
+// error bounds), and snapshot_results() reproduces the kind's
+// Assessor::results() semantics over the merged statistics (one cell's
+// answer equals its own results()):
 //   * SRIA / DIA — exact additive counts: the merged answer is identical
 //     (entries, order, frequencies) to assessing the unpartitioned stream;
-//   * CSRIA — each shard undercounts by <= epsilon * N_shard, so the merged
+//   * CSRIA — each cell undercounts by <= epsilon * N_cell, so the merged
 //     count undercounts by <= epsilon * N: the unpartitioned Manku–Motwani
 //     bound, with the same strict-theta filter on estimated frequency;
 //   * CDIA — compression conserves count mass, so the summed entries form a
@@ -23,12 +24,12 @@ namespace amri::assessment {
 
 /// Sum `parts` into one snapshot: per-mask counts and max_errors add,
 /// observation totals add, entries stay sorted by mask. All parts must
-/// share kind / universe / epsilon (they come from sibling shards of one
+/// share kind / universe / epsilon (they come from sibling cells of one
 /// state). An empty `parts` yields an empty exact snapshot.
 AssessmentSnapshot merge_snapshots(const std::vector<AssessmentSnapshot>& parts);
 
 /// Frequent patterns of a (merged) snapshot at threshold theta — the
-/// sharded analogue of Assessor::results(theta). Sorted by descending
+/// merged analogue of Assessor::results(theta). Sorted by descending
 /// count, then ascending mask, exactly like the per-kind results().
 std::vector<AssessedPattern> snapshot_results(const AssessmentSnapshot& snap,
                                               double theta);

@@ -180,10 +180,12 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
 
     // Drop the matches the arrival must not see: batch members past its
     // sequence horizon (wall mode; uncharged, the comparisons were already
-    // charged by the probe), then, in multi-query mode, tuples this
-    // query's WHERE selection rejects. A shared state stores any tuple
-    // some query accepted; single-query states hold only pre-filtered
-    // tuples, so their selection check is skipped.
+    // charged by the probe), then tuples the target stream's WHERE
+    // selection rejects (charged per compare). The re-check runs whenever
+    // the target stream has a selection. A state shared by several
+    // queries stores any tuple some query accepted, so there it can
+    // reject; a single-query state holds only tuples that already passed
+    // this selection at admission, so there it never rejects anything.
     const Selection& selection = query_.selection(target);
     if (visibility != nullptr || !selection.empty()) {
       std::size_t kept = 0;

@@ -47,9 +47,6 @@ struct ExecutorOptions {
   /// Sample::states. Null (the default) keeps every telemetry touchpoint
   /// to a pointer check.
   telemetry::Telemetry* telemetry = nullptr;
-  /// Backlog depth (queued arrivals) that raises a backpressure event.
-  /// Re-armed once the backlog drains to half the threshold.
-  std::size_t backpressure_threshold = 10000;
   /// Sample every Nth drained arrival into an end-to-end trace span
   /// (`--trace-sample`): span stage events flow from source drain through
   /// eddy routing hops, STeM probes and sharded fan-out to result emission

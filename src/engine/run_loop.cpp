@@ -65,6 +65,10 @@ namespace {
 
 using SteadyClock = std::chrono::steady_clock;
 
+/// Backlog depth (queued arrivals) that raises a backpressure event;
+/// re-armed once the backlog drains to half of it.
+constexpr std::size_t kBackpressureThreshold = 10000;
+
 /// A sampled arrival awaiting its segment's routing: its span was begun
 /// (and the "arrival" stage emitted) at drain time, then suspended.
 struct PendingSpan {
@@ -205,17 +209,17 @@ void sample(Pipeline& p, TimeMicros at) {
 }
 
 void check_backpressure(Pipeline& p) {
-  const std::size_t threshold = p.options.backpressure_threshold;
-  if (p.tel == nullptr || threshold == 0) return;
-  if (p.backpressure_armed && p.pending.size() >= threshold) {
+  if (p.tel == nullptr) return;
+  if (p.backpressure_armed && p.pending.size() >= kBackpressureThreshold) {
     p.backpressure_armed = false;
     telemetry::JsonWriter w;
     w.begin_object();
     w.field("backlog", static_cast<std::uint64_t>(p.pending.size()));
-    w.field("threshold", static_cast<std::uint64_t>(threshold));
+    w.field("threshold", static_cast<std::uint64_t>(kBackpressureThreshold));
     w.end_object();
     p.tel->emit(telemetry::EventKind::kBackpressure, 0, std::move(w).take());
-  } else if (!p.backpressure_armed && p.pending.size() <= threshold / 2) {
+  } else if (!p.backpressure_armed &&
+             p.pending.size() <= kBackpressureThreshold / 2) {
     p.backpressure_armed = true;
   }
 }

@@ -1,11 +1,9 @@
 #include "engine/stem.hpp"
 
-#include <algorithm>
 #include <cassert>
 #include <string>
 #include <utility>
 
-#include "assessment/snapshot.hpp"
 #include "common/assertions.hpp"
 #include "index/access_pattern.hpp"
 
@@ -44,14 +42,10 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
       index::IndexConfig ic = options_.initial_config.num_attrs() == n
                                   ? options_.initial_config
                                   : index::IndexConfig::zero(n);
-      const tuner::TunerOptions topts =
-          options_.amri_tuner.value_or(tuner::TunerOptions{});
       if (options_.shards > 1) {
-        const std::size_t spos =
-            options_.shard_attr < n ? options_.shard_attr : 0;
         auto idx = std::make_unique<index::ShardedBitIndex>(
             layout_.jas, std::move(ic), std::move(mapper), options_.shards,
-            spos, meter_, memory_);
+            0, meter_, memory_);
         sharded_index_ = idx.get();
         index_ = std::move(idx);
         if (telemetry_ != nullptr) {
@@ -69,45 +63,12 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
               telemetry_, "stem." + std::to_string(stream_) + ".index");
         }
       }
-      // Sharded and/or multi-query states keep an external assessor grid
-      // (query-major: one cell per query × shard), merged at tuning epochs
-      // so index selection still sees the one logical request stream.
-      shard_slots_ = options_.shards > 1 ? options_.shards : 1;
-      if (options_.shards > 1 || options_.queries > 1) {
-        const std::size_t queries = std::max<std::size_t>(options_.queries, 1);
-        shard_assessors_.reserve(queries * shard_slots_);
-        for (std::size_t q = 0; q < queries; ++q) {
-          for (std::size_t i = 0; i < shard_slots_; ++i) {
-            shard_assessors_.push_back(assessment::make_assessor(
-                topts.assessor, layout_.jas.universe(), topts.assessor_params));
-          }
-        }
-        if (options_.queries > 1) {
-          epoch_query_requests_.assign(options_.queries, 0);
-        }
-        if (telemetry_ != nullptr) {
-          const std::string prefix = "stem." + std::to_string(stream_);
-          for (std::size_t q = 0; q < queries; ++q) {
-            // Single-query sharded grids keep the legacy
-            // "stem.N.shard.I.assess" names; multi-query cells are
-            // per-query labeled.
-            const std::string qpart =
-                options_.queries > 1 ? ".q" + std::to_string(q) : "";
-            for (std::size_t i = 0; i < shard_slots_; ++i) {
-              const std::string spart = options_.shards > 1
-                                            ? ".shard." + std::to_string(i)
-                                            : "";
-              shard_assessors_[q * shard_slots_ + i]->bind_telemetry(
-                  telemetry_, prefix + qpart + spart + ".assess");
-            }
-          }
-        }
-      }
       // Static backends also carry a tuner so the warm-up phase can train
       // their starting configuration; finish_warmup() drops it.
       amri_tuner_ = std::make_unique<tuner::AmriTuner>(
-          layout_.jas.universe(), n, model, topts, memory_, telemetry_,
-          stream_);
+          layout_.jas.universe(), n, model,
+          options_.amri_tuner.value_or(tuner::TunerOptions{}), memory_,
+          telemetry_, stream_, options_.queries, shard_count());
       continuous_tuning_ = options_.backend == IndexBackend::kAmri;
       break;
     }
@@ -145,21 +106,6 @@ StemOperator::~StemOperator() {
   if (memory_ != nullptr && tracked_tuple_bytes_ > 0) {
     memory_->release(MemCategory::kStateTuples, tracked_tuple_bytes_);
   }
-  if (memory_ != nullptr && tracked_stats_bytes_ > 0) {
-    memory_->release(MemCategory::kStatistics, tracked_stats_bytes_);
-  }
-}
-
-void StemOperator::sync_stats_memory() {
-  if (memory_ == nullptr) return;
-  std::size_t now = 0;
-  for (const auto& a : shard_assessors_) now += a->approx_bytes();
-  if (now > tracked_stats_bytes_) {
-    memory_->allocate(MemCategory::kStatistics, now - tracked_stats_bytes_);
-  } else if (now < tracked_stats_bytes_) {
-    memory_->release(MemCategory::kStatistics, tracked_stats_bytes_ - now);
-  }
-  tracked_stats_bytes_ = now;
 }
 
 void StemOperator::sync_tuple_memory() {
@@ -278,86 +224,22 @@ index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
       if (amri_tuner_ != nullptr) amri_tuner_->note_probe_cost(cost);
     }
   }
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    // Assess in the active query's row of the grid: the target shard's
-    // cell, or the deterministic round-robin for a fan-out probe.
-    std::size_t shard_slot = 0;
+  if (amri_tuner_ != nullptr) {
+    // Assess in the target shard's cell, or the next one in the
+    // deterministic round-robin for a fan-out probe.
+    std::size_t shard = 0;
     if (sharded_index_ != nullptr) {
+      const std::size_t shards = sharded_index_->shard_count();
       const std::size_t target = sharded_index_->target_shard(key);
-      shard_slot = target < shard_slots_ ? target : fanout_rr_++ % shard_slots_;
+      shard = target < shards ? target : fanout_rr_++ % shards;
     }
-    shard_assessors_[active_query_ * shard_slots_ + shard_slot]->observe(
-        key.mask);
-    if (!epoch_query_requests_.empty()) ++epoch_query_requests_[active_query_];
-    amri_tuner_->note_request();
-    sync_stats_memory();
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) merged_tune();
-  } else if (amri_tuner_ != nullptr) {
-    amri_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && amri_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      amri_tuner_->maybe_tune(*bit_index_);
-    }
+    amri_tuner_->observe_request(key.mask, active_query_, shard);
+    if (continuous_tuning_ && amri_tuner_->tuning_due()) force_tune();
   } else if (module_tuner_ != nullptr) {
     module_tuner_->observe_request(key.mask);
-    if (continuous_tuning_ && module_tuner_->tuning_due()) {
-      telemetry::ScopedPhase tune_scope(profiler_,
-                                        telemetry::Phase::kTunerEpoch);
-      module_tuner_->maybe_tune(*module_index_);
-    }
+    if (continuous_tuning_ && module_tuner_->tuning_due()) force_tune();
   }
   return stats;
-}
-
-void StemOperator::merged_tune() {
-  assert(!shard_assessors_.empty() && amri_tuner_ != nullptr);
-  assert(sharded_index_ != nullptr || bit_index_ != nullptr);
-  telemetry::ScopedPhase tune_scope(profiler_, telemetry::Phase::kTunerEpoch);
-  tuner::ExternalAssessment external;
-  {
-    telemetry::ScopedPhase merge_scope(profiler_,
-                                       telemetry::Phase::kSnapshotMerge);
-    std::vector<assessment::AssessmentSnapshot> parts;
-    parts.reserve(shard_assessors_.size());
-    for (const auto& a : shard_assessors_) parts.push_back(a->snapshot());
-    const auto merged = assessment::merge_snapshots(parts);
-    external.frequent =
-        assessment::snapshot_results(merged, amri_tuner_->options().theta);
-    external.table_size = merged.entries.size();
-    for (const auto& a : shard_assessors_) {
-      external.approx_bytes += a->approx_bytes();
-    }
-  }
-  if (!epoch_query_requests_.empty()) {
-    // Per-query attribution for the decision timeline, then roll the epoch.
-    for (std::size_t q = 0; q < epoch_query_requests_.size(); ++q) {
-      external.per_query.push_back(
-          tuner::QueryShare{q, epoch_query_requests_[q]});
-      epoch_query_requests_[q] = 0;
-    }
-  }
-  if (sharded_index_ != nullptr) {
-    amri_tuner_->maybe_tune_sharded(*sharded_index_, external);
-  } else {
-    amri_tuner_->maybe_tune_external(*bit_index_, external);
-  }
-
-  // Statistics retention, mirrored from AmriTuner::recommend() onto the
-  // per-shard assessors this stem owns.
-  switch (amri_tuner_->options().retention) {
-    case tuner::StatsRetention::kReset:
-      for (auto& a : shard_assessors_) a->reset();
-      break;
-    case tuner::StatsRetention::kKeep:
-      break;
-    case tuner::StatsRetention::kDecay:
-      for (auto& a : shard_assessors_) {
-        a->decay(amri_tuner_->options().decay_factor);
-      }
-      break;
-  }
-  sync_stats_memory();
 }
 
 const index::IndexConfig* StemOperator::current_config() const {
@@ -383,11 +265,12 @@ std::uint64_t StemOperator::suppressed() const {
 }
 
 void StemOperator::force_tune() {
-  if (amri_tuner_ != nullptr && !shard_assessors_.empty()) {
-    merged_tune();
-  } else if (amri_tuner_ != nullptr && bit_index_ != nullptr) {
+  telemetry::ScopedPhase tune_scope(profiler_, telemetry::Phase::kTunerEpoch);
+  if (amri_tuner_ != nullptr && sharded_index_ != nullptr) {
+    amri_tuner_->maybe_tune(*sharded_index_);
+  } else if (amri_tuner_ != nullptr) {
     amri_tuner_->maybe_tune(*bit_index_);
-  } else if (module_tuner_ != nullptr && module_index_ != nullptr) {
+  } else if (module_tuner_ != nullptr) {
     module_tuner_->maybe_tune(*module_index_);
   }
 }
@@ -404,8 +287,6 @@ void StemOperator::finish_warmup() {
     if (module_tuner_ != nullptr) warmup_migrations_ = module_tuner_->retunes();
     amri_tuner_.reset();
     module_tuner_.reset();
-    shard_assessors_.clear();
-    sync_stats_memory();
   }
 }
 

@@ -11,7 +11,6 @@
 #include <unordered_map>
 #include <vector>
 
-#include "assessment/assessor.hpp"
 #include "common/cost_meter.hpp"
 #include "common/memory_tracker.hpp"
 #include "common/tuple.hpp"
@@ -48,20 +47,16 @@ struct StemOptions {
   /// a warm-up trace). Empty samples fall back to hashing per attribute.
   std::vector<std::vector<Value>> quantile_samples;
   /// Bit-address backends only: partition the state's window and index
-  /// into this many shards (index::ShardedBitIndex). 1 keeps the plain
-  /// single index; the module/scan backends ignore sharding.
+  /// into this many shards (index::ShardedBitIndex), routed by the value
+  /// of JAS position 0. 1 keeps the plain single index; the module/scan
+  /// backends ignore sharding.
   std::size_t shards = 1;
-  /// JAS position whose value routes tuples/probes to their shard
-  /// (clamped to 0 when out of range).
-  std::size_t shard_attr = 0;
   /// Queries sharing this state (multi-query executors; bit-address
-  /// backends only). Above 1 the STeM keeps one assessor per
-  /// (query, shard) cell — set_active_query() attributes each probe to the
-  /// routing query — and every tuning epoch merges the whole grid
-  /// (assessment/snapshot.hpp) so one shared tuner scores candidate ICs
-  /// against the union workload, with per-query request shares attached to
-  /// the decision. 1 (the default) keeps the single-query paths
-  /// bit-for-bit untouched.
+  /// backends only). The state's tuner keeps one assessor cell per
+  /// (query, shard) — set_active_query() attributes each probe to the
+  /// routing query — and merges them at every decision, so one shared
+  /// tuner scores candidate ICs against the union workload, with per-query
+  /// request shares attached to the decision.
   std::size_t queries = 1;
 };
 
@@ -101,7 +96,7 @@ class StemOperator {
   void expire(TimeMicros now);
 
   /// Multi-query mode (StemOptions::queries > 1): attribute subsequent
-  /// probes to query `qi`'s assessors. The multi-query routing sink sets
+  /// probes to query `qi`'s assessor cells. The multi-query routing sink sets
   /// this before each query routes an arrival; single-query stems never
   /// call it (query 0 is the default attribution).
   void set_active_query(std::size_t qi) { active_query_ = qi; }
@@ -175,13 +170,6 @@ class StemOperator {
 
  private:
   void sync_tuple_memory();
-  void sync_stats_memory();
-  /// Merged tuning epoch (sharded and/or multi-query): merge the whole
-  /// assessor grid's snapshots into one logical assessment, run selection
-  /// (with per-query request attribution when queries > 1), migrate when
-  /// the improvement clears the margin, then apply statistics retention to
-  /// every grid assessor.
-  void merged_tune();
   telemetry::Histogram* pattern_histogram(AttrMask mask);
 
   StreamId stream_;
@@ -197,24 +185,15 @@ class StemOperator {
   index::AccessModuleSet* module_index_ = nullptr;   ///< non-owning view
   std::unique_ptr<tuner::AmriTuner> amri_tuner_;
   std::unique_ptr<tuner::HashModuleTuner> module_tuner_;
-  /// Sharded and/or multi-query mode: the external assessor grid (the
-  /// tuner's own assessor is bypassed), laid out query-major —
-  /// slot = query * shard_slots + shard. Targeted probes are attributed to
-  /// the target shard's assessor; fan-out probes round-robin
-  /// deterministically. Empty for plain single-query unsharded stems.
-  std::vector<std::unique_ptr<assessment::Assessor>> shard_assessors_;
-  /// Shard cells per query in the grid (max(shards, 1)).
-  std::size_t shard_slots_ = 1;
   /// The query currently routing (multi-query mode; see set_active_query).
   std::size_t active_query_ = 0;
-  /// Requests attributed to each query since the last merged decision
-  /// (multi-query mode only) — the decision timeline's per-query shares.
-  std::vector<std::uint64_t> epoch_query_requests_;
   /// Scratch for expire()'s batched erase (pointer run into window_store_);
   /// a member so steady-state expiry never reallocates.
   std::vector<const Tuple*> expiry_scratch_;
+  /// Sharded mode: a targeted probe is assessed in its target shard's
+  /// tuner cell, a fan-out probe in the next cell of this deterministic
+  /// round-robin.
   std::uint64_t fanout_rr_ = 0;
-  std::size_t tracked_stats_bytes_ = 0;
   bool continuous_tuning_ = false;
   std::uint64_t warmup_migrations_ = 0;
   std::uint64_t warmup_suppressed_ = 0;

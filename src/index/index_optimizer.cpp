@@ -167,12 +167,6 @@ IndexOptimizer::IndexOptimizer(CostModel model, OptimizerOptions options)
   }
 }
 
-double IndexOptimizer::evaluate(
-    const IndexConfig& ic, const std::vector<PatternFrequency>& patterns) const {
-  return options_.use_extended_cost ? model_.extended_cost(ic, patterns)
-                                    : model_.paper_cost(ic, patterns);
-}
-
 OptimizerResult IndexOptimizer::optimize(
     std::size_t num_attrs, const std::vector<PatternFrequency>& patterns) const {
   check_num_attrs(num_attrs);
@@ -185,41 +179,6 @@ OptimizerResult IndexOptimizer::optimize(
                                         options_.bit_budget,
                                         options_.max_bits_per_attr,
                                         options_.track_top_k);
-}
-
-OptimizerResult IndexOptimizer::optimize_greedy(
-    std::size_t num_attrs, const std::vector<PatternFrequency>& patterns) const {
-  check_num_attrs(num_attrs);
-  std::vector<std::uint8_t> alloc(num_attrs, 0);
-  IndexConfig current(alloc);
-  double current_cost = evaluate(current, patterns);
-  std::uint64_t evaluated = 1;
-  int used = 0;
-  while (used < options_.bit_budget) {
-    double best_cost = current_cost;
-    std::size_t best_attr = num_attrs;
-    for (std::size_t a = 0; a < num_attrs; ++a) {
-      if (alloc[a] >= options_.max_bits_per_attr) continue;
-      ++alloc[a];
-      const IndexConfig candidate(alloc);
-      const double cost = evaluate(candidate, patterns);
-      ++evaluated;
-      if (cost < best_cost) {
-        best_cost = cost;
-        best_attr = a;
-      }
-      --alloc[a];
-    }
-    if (best_attr == num_attrs) break;  // no bit improves
-    ++alloc[best_attr];
-    current_cost = best_cost;
-    ++used;
-  }
-  OptimizerResult result;
-  result.config = IndexConfig(alloc);
-  result.cost = current_cost;
-  result.configs_evaluated = evaluated;
-  return result;
 }
 
 std::vector<AttrMask> IndexOptimizer::select_hash_modules(

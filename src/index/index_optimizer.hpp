@@ -7,8 +7,7 @@
 // bits over n attributes (165 at the paper's n = 3, B = 8; 24,310 for a
 // 9-attribute shared multi-query state) with an allocation-free
 // depth-first kernel that updates each pattern's Eq. 1 counts
-// incrementally. A greedy bit-at-a-time search is provided for larger
-// spaces and as an ablation.
+// incrementally.
 #pragma once
 
 #include <vector>
@@ -59,13 +58,6 @@ class IndexOptimizer {
   OptimizerResult optimize(std::size_t num_attrs,
                            const std::vector<PatternFrequency>& patterns) const;
 
-  /// Greedy: repeatedly add the single bit with the largest cost reduction;
-  /// stops when no bit improves. Evaluates O(budget · num_attrs) configs.
-  /// Same `num_attrs` limit as optimize().
-  OptimizerResult optimize_greedy(
-      std::size_t num_attrs,
-      const std::vector<PatternFrequency>& patterns) const;
-
   /// Baseline "conventional index selection" used for the access-module
   /// comparison (paper §V): pick hash-index key masks for the
   /// `max_modules` most frequent access patterns.
@@ -73,9 +65,6 @@ class IndexOptimizer {
       const std::vector<PatternFrequency>& patterns, std::size_t max_modules);
 
  private:
-  double evaluate(const IndexConfig& ic,
-                  const std::vector<PatternFrequency>& patterns) const;
-
   CostModel model_;
   OptimizerOptions options_;
 };

@@ -31,7 +31,7 @@ enum class Phase : std::uint8_t {
   kInsert,         ///< STeM index inserts (single or batched)
   kRoute,          ///< eddy routing (a sink's route_batch), probes excluded
   kProbe,          ///< index probe work inside a routing hop
-  kSnapshotMerge,  ///< per-shard assessor snapshot + merge at an epoch
+  kSnapshotMerge,  ///< assessor-cell snapshots + merge at a decision
   kTunerEpoch,     ///< tuner decide/optimize (migration excluded)
   kMigration,      ///< index reconfiguration (rehash + move)
   kSample,         ///< periodic engine state sampling

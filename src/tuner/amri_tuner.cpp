@@ -2,7 +2,9 @@
 
 #include <algorithm>
 #include <cassert>
+#include <string>
 
+#include "assessment/snapshot.hpp"
 #include "common/bitops.hpp"
 #include "index/access_pattern.hpp"
 #include "telemetry/json.hpp"
@@ -10,6 +12,10 @@
 namespace amri::tuner {
 
 namespace {
+// With telemetry attached, every decision carries this many of the most
+// frequent assessed patterns and of the cheapest candidate ICs.
+constexpr std::size_t kTelemetryTopK = 5;
+
 // The selector built when TunerOptions carries no explicit guardrails:
 // disabled, dead-band = min_improvement — the legacy migration rule.
 GuardrailOptions effective_guardrails(const TunerOptions& options) {
@@ -24,25 +30,37 @@ GuardrailOptions effective_guardrails(const TunerOptions& options) {
 AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
                      index::CostModel model, TunerOptions options,
                      MemoryTracker* memory, telemetry::Telemetry* telemetry,
-                     StreamId stream)
+                     StreamId stream, std::size_t queries, std::size_t shards)
     : universe_(universe),
       num_attrs_(num_attrs),
       model_(std::move(model)),
-      options_(options),
-      assessor_(assessment::make_assessor(options.assessor, universe,
-                                          options.assessor_params)),
-      evaluator_(make_cost_model_evaluator(model_, options.optimizer,
-                                           num_attrs)),
-      selector_(effective_guardrails(options), model_.params().hash_cost),
+      options_(std::move(options)),
+      shards_(std::max<std::size_t>(shards, 1)),
+      query_requests_(std::max<std::size_t>(queries, 1), 0),
+      selector_(effective_guardrails(options_), model_.params().hash_cost),
       telemetry_(telemetry),
       stream_(stream),
       migrator_(telemetry, stream),
       memory_(memory) {
-  assert(assessor_ != nullptr);
   assert(popcount(universe) == static_cast<int>(num_attrs));
+  const std::size_t n_queries = query_requests_.size();
+  cells_.reserve(n_queries * shards_);
+  for (std::size_t i = 0; i < n_queries * shards_; ++i) {
+    cells_.push_back(assessment::make_assessor(options_.assessor, universe,
+                                               options_.assessor_params));
+    assert(cells_.back() != nullptr);
+  }
   if (telemetry_ != nullptr) {
     const std::string prefix = "stem." + std::to_string(stream_);
-    assessor_->bind_telemetry(telemetry_, prefix + ".assess");
+    for (std::size_t q = 0; q < n_queries; ++q) {
+      const std::string qpart = n_queries > 1 ? ".q" + std::to_string(q) : "";
+      for (std::size_t i = 0; i < shards_; ++i) {
+        const std::string spart =
+            shards_ > 1 ? ".shard." + std::to_string(i) : "";
+        cells_[q * shards_ + i]->bind_telemetry(
+            telemetry_, prefix + qpart + spart + ".assess");
+      }
+    }
     auto& reg = telemetry_->metrics();
     decision_counter_ = &reg.counter(prefix + ".tuner.decisions");
     suppressed_counter_ = &reg.counter(prefix + ".tuner.suppressed");
@@ -53,20 +71,21 @@ AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
   }
 }
 
-void AmriTuner::set_evaluator(std::unique_ptr<CandidateEvaluator> evaluator) {
-  assert(evaluator != nullptr);
-  evaluator_ = std::move(evaluator);
-}
-
 AmriTuner::~AmriTuner() {
   if (memory_ != nullptr && tracked_bytes_ > 0) {
     memory_->release(MemCategory::kStatistics, tracked_bytes_);
   }
 }
 
+std::size_t AmriTuner::stats_bytes() const {
+  std::size_t bytes = 0;
+  for (const auto& cell : cells_) bytes += cell->approx_bytes();
+  return bytes;
+}
+
 void AmriTuner::sync_memory() {
   if (memory_ == nullptr) return;
-  const std::size_t now = assessor_->approx_bytes();
+  const std::size_t now = stats_bytes();
   if (now > tracked_bytes_) {
     memory_->allocate(MemCategory::kStatistics, now - tracked_bytes_);
   } else if (now < tracked_bytes_) {
@@ -75,46 +94,15 @@ void AmriTuner::sync_memory() {
   tracked_bytes_ = now;
 }
 
-void AmriTuner::observe_request(AttrMask ap) {
+void AmriTuner::observe_request(AttrMask ap, std::size_t query,
+                                std::size_t shard) {
   assert(is_subset(ap, universe_));
-  assessor_->observe(ap);
+  assert(query < query_requests_.size() && shard < shards_);
+  cells_[query * shards_ + shard]->observe(ap);
+  ++query_requests_[query];
   ++since_last_decision_;
   ++observed_;
   sync_memory();
-}
-
-TuneDecision AmriTuner::decide(
-    const std::vector<assessment::AssessedPattern>& frequent,
-    const index::IndexConfig& current) {
-  TuneDecision decision;
-  decision.due = true;
-  ++decisions_;
-  since_last_decision_ = 0;
-
-  decision.frequent_patterns = frequent.size();
-  decision.previous = current;
-
-  const std::size_t top_k = telemetry_ != nullptr
-                                ? options_.telemetry_top_k
-                                : options_.optimizer.track_top_k;
-  Evaluation eval = evaluator_->evaluate({frequent, current}, top_k);
-  decision.recommended = eval.best;
-  decision.recommended_cost = eval.best_cost;
-  decision.candidates = std::move(eval.top);
-  decision.current_cost = eval.current_cost;
-  if (telemetry_ != nullptr) {
-    decision.top_patterns.assign(
-        frequent.begin(),
-        frequent.begin() +
-            static_cast<std::ptrdiff_t>(
-                std::min(frequent.size(), options_.telemetry_top_k)));
-    decision_counter_->add();
-    decision.predicted_current_probe_us =
-        expected_probe_cost(current, frequent);
-    decision.predicted_recommended_probe_us =
-        expected_probe_cost(decision.recommended, frequent);
-  }
-  return decision;
 }
 
 double AmriTuner::expected_probe_cost(
@@ -130,21 +118,71 @@ double AmriTuner::expected_probe_cost(
 }
 
 TuneDecision AmriTuner::recommend(const index::IndexConfig& current) {
-  TuneDecision decision = decide(assessor_->results(options_.theta), current);
-  if (telemetry_ != nullptr) {
-    stats_entries_gauge_->set(static_cast<double>(assessor_->table_size()));
-    stats_bytes_gauge_->set(static_cast<double>(assessor_->approx_bytes()));
-  }
+  TuneDecision decision;
+  decision.due = true;
+  decision.previous = current;
+  ++decisions_;
+  since_last_decision_ = 0;
 
-  switch (options_.retention) {
-    case StatsRetention::kReset:
-      assessor_->reset();
-      break;
-    case StatsRetention::kKeep:
-      break;
-    case StatsRetention::kDecay:
-      assessor_->decay(options_.decay_factor);
-      break;
+  std::vector<assessment::AssessedPattern> frequent;
+  std::size_t table_size = 0;
+  {
+    telemetry::ScopedPhase merge_scope(
+        telemetry_ != nullptr ? telemetry_->profiler() : nullptr,
+        telemetry::Phase::kSnapshotMerge);
+    std::vector<assessment::AssessmentSnapshot> parts;
+    parts.reserve(cells_.size());
+    for (const auto& cell : cells_) parts.push_back(cell->snapshot());
+    const auto merged = assessment::merge_snapshots(parts);
+    frequent = assessment::snapshot_results(merged, options_.theta);
+    table_size = merged.entries.size();
+  }
+  decision.frequent_patterns = frequent.size();
+
+  // IC search over Eq. 1, and the current IC costed by the same variant.
+  const auto pattern_freqs = assessment::to_pattern_frequencies(frequent);
+  index::OptimizerOptions oopts = options_.optimizer;
+  if (telemetry_ != nullptr) oopts.track_top_k = kTelemetryTopK;
+  index::OptimizerResult best =
+      index::IndexOptimizer(model_, oopts).optimize(num_attrs_, pattern_freqs);
+  decision.recommended = std::move(best.config);
+  decision.recommended_cost = best.cost;
+  decision.candidates = std::move(best.top);
+  decision.current_cost =
+      oopts.use_extended_cost ? model_.extended_cost(current, pattern_freqs)
+                              : model_.paper_cost(current, pattern_freqs);
+
+  if (telemetry_ != nullptr) {
+    decision.top_patterns.assign(
+        frequent.begin(),
+        frequent.begin() + static_cast<std::ptrdiff_t>(
+                               std::min(frequent.size(), kTelemetryTopK)));
+    decision_counter_->add();
+    decision.predicted_current_probe_us =
+        expected_probe_cost(current, frequent);
+    decision.predicted_recommended_probe_us =
+        expected_probe_cost(decision.recommended, frequent);
+    stats_entries_gauge_->set(static_cast<double>(table_size));
+    stats_bytes_gauge_->set(static_cast<double>(stats_bytes()));
+  }
+  if (query_requests_.size() > 1) {
+    for (std::size_t q = 0; q < query_requests_.size(); ++q) {
+      decision.query_shares.push_back(QueryShare{q, query_requests_[q]});
+    }
+  }
+  std::fill(query_requests_.begin(), query_requests_.end(), 0);
+
+  for (auto& cell : cells_) {
+    switch (options_.retention) {
+      case StatsRetention::kReset:
+        cell->reset();
+        break;
+      case StatsRetention::kKeep:
+        break;
+      case StatsRetention::kDecay:
+        cell->decay(options_.decay_factor);
+        break;
+    }
   }
   sync_memory();
   return decision;
@@ -155,7 +193,7 @@ void AmriTuner::emit_decision_event(const TuneDecision& decision,
   if (telemetry_ == nullptr) return;
   telemetry::JsonWriter w;
   w.begin_object();
-  w.field("assessor", assessor_->name());
+  w.field("assessor", cells_.front()->name());
   w.field("observed", observed_);
   w.field("frequent_patterns",
           static_cast<std::uint64_t>(decision.frequent_patterns));
@@ -251,14 +289,15 @@ void AmriTuner::emit_decision_event(const TuneDecision& decision,
                    std::move(w).take());
 }
 
-bool AmriTuner::select_migration(TuneDecision& decision,
-                                 const index::IndexConfig& current,
-                                 const WhatIfContext& ctx) {
+TuneDecision AmriTuner::tune(
+    index::IndexConfig before, const WhatIfContext& ctx,
+    const std::function<std::uint64_t(const index::IndexConfig&)>& migrate) {
+  TuneDecision decision = recommend(before);
   Evaluation eval;
   eval.best = decision.recommended;
   eval.best_cost = decision.recommended_cost;
   eval.current_cost = decision.current_cost;
-  const Selection sel = selector_.select(eval, current, ctx);
+  const Selection sel = selector_.select(eval, before, ctx);
   decision.verdict = sel.verdict;
   decision.suppressed = sel.verdict == GuardrailVerdict::kHysteresis ||
                         sel.verdict == GuardrailVerdict::kNotAmortized ||
@@ -269,80 +308,36 @@ bool AmriTuner::select_migration(TuneDecision& decision,
   decision.amortize_units = sel.amortize_units;
   decision.budget_spent_us = sel.budget_spent_us;
   decision.budget_remaining_us = sel.budget_remaining_us;
-  return sel.migrate;
-}
-
-void AmriTuner::finish_decision(const TuneDecision& decision,
-                                const index::IndexConfig& before) {
+  if (sel.migrate) {
+    // A sharded rebuild's total modelled pause equals the unsharded one;
+    // only its per-probe stall shrinks to the largest single shard.
+    decision.migration_cost_us =
+        static_cast<double>(migrate(decision.recommended)) *
+        model_.params().hash_cost;
+    migration_pause_us_ += decision.migration_cost_us;
+    decision.migrated = true;
+    ++migrations_;
+  }
   if (telemetry_ != nullptr) {
     if (decision.suppressed) suppressed_counter_->add();
     emit_decision_event(decision, before);
   }
   if (options_.on_decision) options_.on_decision(stream_, decision);
+  return decision;
 }
 
 TuneDecision AmriTuner::maybe_tune(index::BitAddressIndex& index) {
-  const index::IndexConfig before = index.config();
-  TuneDecision decision = recommend(before);
-  const WhatIfContext ctx{index.size(), index.memory_bytes()};
-  if (select_migration(decision, before, ctx)) {
-    const auto report = migrator_.migrate(index, decision.recommended);
-    decision.migration_cost_us = static_cast<double>(report.hashes_charged) *
-                                 model_.params().hash_cost;
-    migration_pause_us_ += decision.migration_cost_us;
-    decision.migrated = true;
-    ++migrations_;
-  }
-  finish_decision(decision, before);
-  return decision;
+  return tune(index.config(), {index.size(), index.memory_bytes()},
+              [&](const index::IndexConfig& target) {
+                return migrator_.migrate(index, target).hashes_charged;
+              });
 }
 
-TuneDecision AmriTuner::recommend_from(const ExternalAssessment& external,
-                                       const index::IndexConfig& current) {
-  TuneDecision decision = decide(external.frequent, current);
-  decision.query_shares = external.per_query;
-  if (telemetry_ != nullptr) {
-    stats_entries_gauge_->set(static_cast<double>(external.table_size));
-    stats_bytes_gauge_->set(static_cast<double>(external.approx_bytes));
-  }
-  return decision;
-}
-
-TuneDecision AmriTuner::maybe_tune_sharded(index::ShardedBitIndex& index,
-                                           const ExternalAssessment& external) {
-  const index::IndexConfig before = index.config();
-  TuneDecision decision = recommend_from(external, before);
-  const WhatIfContext ctx{index.size(), index.memory_bytes()};
-  if (select_migration(decision, before, ctx)) {
-    const auto report = index.migrate_shards(decision.recommended, migrator_);
-    // Total modelled pause is the full rebuild (identical to the
-    // unsharded path); the *per-probe* stall shrinks to the largest
-    // single-shard rebuild, ~1/N of the window.
-    decision.migration_cost_us = static_cast<double>(report.hashes_charged) *
-                                 model_.params().hash_cost;
-    migration_pause_us_ += decision.migration_cost_us;
-    decision.migrated = true;
-    ++migrations_;
-  }
-  finish_decision(decision, before);
-  return decision;
-}
-
-TuneDecision AmriTuner::maybe_tune_external(index::BitAddressIndex& index,
-                                            const ExternalAssessment& external) {
-  const index::IndexConfig before = index.config();
-  TuneDecision decision = recommend_from(external, before);
-  const WhatIfContext ctx{index.size(), index.memory_bytes()};
-  if (select_migration(decision, before, ctx)) {
-    const auto report = migrator_.migrate(index, decision.recommended);
-    decision.migration_cost_us = static_cast<double>(report.hashes_charged) *
-                                 model_.params().hash_cost;
-    migration_pause_us_ += decision.migration_cost_us;
-    decision.migrated = true;
-    ++migrations_;
-  }
-  finish_decision(decision, before);
-  return decision;
+TuneDecision AmriTuner::maybe_tune(index::ShardedBitIndex& index) {
+  return tune(index.config(), {index.size(), index.memory_bytes()},
+              [&](const index::IndexConfig& target) {
+                return index.migrate_shards(target, migrator_).hashes_charged;
+              });
 }
 
 }  // namespace amri::tuner

@@ -1,23 +1,30 @@
-// The AMRI index tuner: the online loop that (a) feeds every search
-// request's access pattern to an assessment method, (b) periodically asks
-// the assessor for the frequent patterns, (c) runs a candidate *evaluator*
-// (tuner/evaluator.hpp — by default the cost-model optimizer search) to
-// score ICs, and (d) hands the scored recommendation to a guardrail
-// *selector* (tuner/selector.hpp) that decides whether the migration
-// fires: benefit dead-band always, plus hysteresis / what-if amortization
-// / time and memory budgets when guardrails are enabled.
+// The AMRI index tuner: the one online loop per state that (a) feeds every
+// search request's access pattern to the assessor cell of the (query,
+// shard) it was made for, (b) at each decision merges the cells'
+// snapshots (assessment/snapshot.hpp) into the frequent patterns of the
+// one logical request stream, (c) searches the IC minimising Eq. 1 with
+// index::IndexOptimizer, and (d) hands the scored recommendation to a
+// guardrail *selector* (tuner/selector.hpp) that decides whether the
+// migration fires: benefit dead-band always, plus hysteresis / what-if
+// amortization / time and memory budgets when guardrails are enabled.
+// Statistics retention applies to every cell at the decision, before the
+// migration.
+//
+// A plain state has one cell. A sharded state has one per shard, and a
+// state shared by several queries one per (query, shard), so the decision
+// can report which query drove the union workload.
 //
 // The tuner is deliberately index-agnostic about *application*: it returns
-// recommendations, and `maybe_tune` applies one to a BitAddressIndex via
-// the migrator. This lets the same tuner drive the non-adapting ablation
-// (never apply) and unit tests (inspect recommendations only).
+// recommendations, and `maybe_tune` applies one to a BitAddressIndex or a
+// ShardedBitIndex via the migrator. This lets the same tuner drive the
+// non-adapting ablation (never apply) and unit tests (inspect
+// recommendations only).
 #pragma once
 
 #include <cstdint>
 #include <functional>
 #include <memory>
 #include <optional>
-
 #include <vector>
 
 #include "assessment/assessor.hpp"
@@ -27,7 +34,6 @@
 #include "index/index_optimizer.hpp"
 #include "index/sharded_bit_index.hpp"
 #include "telemetry/telemetry.hpp"
-#include "tuner/evaluator.hpp"
 #include "tuner/selector.hpp"
 
 namespace amri::tuner {
@@ -50,21 +56,18 @@ struct TunerOptions {
   index::OptimizerOptions optimizer{};
   StatsRetention retention = StatsRetention::kReset;
   double decay_factor = 0.25;        ///< for kDecay
-  /// With telemetry attached, every decision carries the `telemetry_top_k`
-  /// most frequent assessed patterns and cheapest candidate ICs.
-  std::size_t telemetry_top_k = 5;
   /// Production guardrails for the selection stage (selector.hpp). Unset
   /// (the default) builds a disabled selector whose dead-band equals
   /// `min_improvement` — the legacy migration rule, bit-for-bit.
   std::optional<GuardrailOptions> guardrails;
-  /// Called after every applied decision (maybe_tune / maybe_tune_sharded)
-  /// with the owning stream and the full decision, including the guardrail
-  /// verdict. Fires whether or not telemetry is attached.
+  /// Called after every applied decision (maybe_tune) with the owning
+  /// stream and the full decision, including the guardrail verdict. Fires
+  /// whether or not telemetry is attached.
   std::function<void(StreamId, const TuneDecision&)> on_decision;
 };
 
-/// One query's share of the requests behind a merged assessment epoch:
-/// multi-query stems attribute every probe to the routing query, so the
+/// One query's share of the requests behind a decision: states shared by
+/// several queries attribute every probe to the routing query, so the
 /// decision timeline can show which query drove the union workload.
 struct QueryShare {
   std::size_t query = 0;
@@ -79,8 +82,8 @@ struct TuneDecision {
   double current_cost = 0.0;
   std::size_t frequent_patterns = 0;
   /// Decision provenance (populated when the tuner has telemetry attached):
-  /// the assessment snapshot behind the decision and the scored runner-up
-  /// configurations, ascending cost.
+  /// the five most frequent assessed patterns behind the decision and the
+  /// five cheapest scored configurations, ascending cost.
   std::vector<assessment::AssessedPattern> top_patterns;
   std::vector<index::ScoredConfig> candidates;
   /// Modelled per-probe search cost (Eq. 1 per-request terms, frequency
@@ -101,9 +104,9 @@ struct TuneDecision {
   /// migrations the legacy rule would have made.
   GuardrailVerdict verdict = GuardrailVerdict::kNoChange;
   bool suppressed = false;
-  /// Per-query request attribution copied from the ExternalAssessment that
-  /// produced this decision (multi-query stems; empty otherwise). Emitted
-  /// on the tuner_decision timeline.
+  /// Requests each query made since the previous decision (tuners with
+  /// more than one query; empty otherwise). Emitted on the tuner_decision
+  /// timeline.
   std::vector<QueryShare> query_shares;
   double modelled_benefit_us = 0.0;
   double whatif_migration_cost_us = 0.0;
@@ -112,28 +115,18 @@ struct TuneDecision {
   double budget_remaining_us = 0.0;
 };
 
-/// Externally assessed statistics for one decision. Sharded and
-/// multi-query stems collect per-shard / per-query assessor snapshots,
-/// merge them (assessment/snapshot.hpp), and hand the thresholded answer
-/// here so the tuner sees one logical state.
-struct ExternalAssessment {
-  std::vector<assessment::AssessedPattern> frequent;
-  std::size_t table_size = 0;    ///< merged retained entries (gauges)
-  std::size_t approx_bytes = 0;  ///< merged statistics footprint (gauges)
-  /// Per-query request attribution for the closing epoch (multi-query
-  /// stems only; empty keeps single-query decision events unchanged).
-  std::vector<QueryShare> per_query;
-};
-
 class AmriTuner {
  public:
-  /// With `telemetry` set the tuner logs every decision (assessment top-k,
+  /// `queries` × `shards` assessor cells, query-major (cell = query *
+  /// shards + shard); both default to 1, a plain state's one cell. With
+  /// `telemetry` set the tuner logs every decision (assessment top-k,
   /// scored candidate ICs, chosen IC, migration outcome) as a
   /// tuner_decision event for `stream`, and binds assessor/migration
   /// instruments; null keeps all telemetry paths to a pointer check.
   AmriTuner(AttrMask universe, std::size_t num_attrs, index::CostModel model,
             TunerOptions options, MemoryTracker* memory = nullptr,
-            telemetry::Telemetry* telemetry = nullptr, StreamId stream = 0);
+            telemetry::Telemetry* telemetry = nullptr, StreamId stream = 0,
+            std::size_t queries = 1, std::size_t shards = 1);
 
   ~AmriTuner();
 
@@ -141,38 +134,31 @@ class AmriTuner {
   AmriTuner& operator=(const AmriTuner&) = delete;
 
   const TunerOptions& options() const { return options_; }
-  const assessment::Assessor& assessor() const { return *assessor_; }
-  const CandidateEvaluator& evaluator() const { return *evaluator_; }
+  /// Cell 0 (query 0, shard 0): a plain state's only assessor.
+  const assessment::Assessor& assessor() const { return *cells_.front(); }
   const GuardrailSelector& selector() const { return selector_; }
 
-  /// Swap in a custom candidate evaluator (the default is the cost-model
-  /// optimizer search). Must not be null; call before the first decision.
-  void set_evaluator(std::unique_ptr<CandidateEvaluator> evaluator);
-
-  /// Ingest one search request's access pattern.
-  void observe_request(AttrMask ap);
+  /// Ingest one search request's access pattern, made for `query` and
+  /// served by `shard`.
+  void observe_request(AttrMask ap, std::size_t query = 0,
+                       std::size_t shard = 0);
 
   /// True when enough requests arrived since the last decision.
   bool tuning_due() const {
     return since_last_decision_ >= options_.reassess_every;
   }
 
-  /// Run assessment + selection against `current`; returns the decision
-  /// without applying it. Resets the due-counter (and optionally stats).
+  /// One decision's assessment and IC search against `current`, without
+  /// selection or migration: merges the cells, scores the ICs, then
+  /// applies statistics retention to every cell and resets the
+  /// due-counter.
   TuneDecision recommend(const index::IndexConfig& current);
 
-  /// recommend() and, if the improvement clears the hysteresis margin,
-  /// migrate `index` to the recommended IC.
+  /// recommend() and, if the guardrail selector lets it fire, migrate
+  /// `index` to the recommended IC. The sharded overload migrates shard by
+  /// shard, so each pause covers only 1/N of the window.
   TuneDecision maybe_tune(index::BitAddressIndex& index);
-
-  /// Count one request assessed *outside* the tuner (sharded and
-  /// multi-query stems feed their assessor grid directly); keeps the
-  /// decision cadence — and the observed-request total — identical to the
-  /// observe_request() path.
-  void note_request() {
-    ++since_last_decision_;
-    ++observed_;
-  }
+  TuneDecision maybe_tune(index::ShardedBitIndex& index);
 
   /// Accumulate the observed (meter-charged) cost of one probe into the
   /// running epoch. The stem feeds this from its telemetry-guarded probe
@@ -184,25 +170,6 @@ class AmriTuner {
     epoch_probe_cost_us_ += cost_us;
     ++epoch_probe_count_;
   }
-
-  /// Selection over externally assessed (merged per-shard) statistics.
-  /// Same decision core as recommend(); statistics retention is the
-  /// caller's job (the stem owns the shard assessors).
-  TuneDecision recommend_from(const ExternalAssessment& external,
-                              const index::IndexConfig& current);
-
-  /// recommend_from() and, if the improvement clears the hysteresis
-  /// margin, migrate `index` shard by shard so each pause covers only
-  /// 1/N of the window.
-  TuneDecision maybe_tune_sharded(index::ShardedBitIndex& index,
-                                  const ExternalAssessment& external);
-
-  /// maybe_tune() driven by an external (merged per-query) assessment
-  /// instead of the tuner's own assessor — the unsharded counterpart of
-  /// maybe_tune_sharded, used by multi-query stems whose shared state runs
-  /// a single BitAddressIndex.
-  TuneDecision maybe_tune_external(index::BitAddressIndex& index,
-                                   const ExternalAssessment& external);
 
   std::uint64_t decisions() const { return decisions_; }
   std::uint64_t migrations() const { return migrations_; }
@@ -217,23 +184,16 @@ class AmriTuner {
   double migration_pause_us() const { return migration_pause_us_; }
 
  private:
+  /// Summed approx_bytes() of every cell.
+  std::size_t stats_bytes() const;
   void sync_memory();
-  /// Shared decision core: evaluator run over `frequent` against
-  /// `current`. Increments the decision counters; retention is the
-  /// caller's responsibility.
-  TuneDecision decide(const std::vector<assessment::AssessedPattern>& frequent,
-                      const index::IndexConfig& current);
-  /// Selection stage shared by maybe_tune / maybe_tune_sharded: run the
-  /// guardrail selector over a due decision and copy the outcome (verdict,
-  /// what-if numbers, budget state) into it. Returns true when the
-  /// migration should fire.
-  bool select_migration(TuneDecision& decision,
-                        const index::IndexConfig& current,
-                        const WhatIfContext& ctx);
-  /// Post-apply bookkeeping shared by the maybe_tune paths: decision
-  /// event, suppressed gauge, on_decision callback.
-  void finish_decision(const TuneDecision& decision,
-                       const index::IndexConfig& before);
+  /// The one apply body behind both maybe_tune overloads: recommend(), run
+  /// the guardrail selector, call `migrate` (which returns the hashes the
+  /// rebuild charged) when it fires, then emit the decision event and the
+  /// on_decision callback.
+  TuneDecision tune(index::IndexConfig before, const WhatIfContext& ctx,
+                    const std::function<std::uint64_t(
+                        const index::IndexConfig&)>& migrate);
   /// Frequency-weighted mean per-request search cost of `ic` over the
   /// frequent patterns (the prediction the decision timeline tracks).
   /// -1 when `frequent` is empty.
@@ -250,8 +210,11 @@ class AmriTuner {
   std::size_t num_attrs_;
   index::CostModel model_;
   TunerOptions options_;
-  std::unique_ptr<assessment::Assessor> assessor_;
-  std::unique_ptr<CandidateEvaluator> evaluator_;
+  std::size_t shards_;
+  /// Assessor cells, query-major: cell = query * shards_ + shard.
+  std::vector<std::unique_ptr<assessment::Assessor>> cells_;
+  /// Requests per query since the last decision (one entry per query).
+  std::vector<std::uint64_t> query_requests_;
   GuardrailSelector selector_;
   telemetry::Telemetry* telemetry_;
   StreamId stream_;

@@ -1,7 +1,8 @@
-// Migration selection: the second half of the tuner's evaluator/selector
-// pipeline. Given one epoch's Evaluation (tuner/evaluator.hpp) the
-// selector decides whether the recommended IC actually fires, applying
-// the production guardrails the paper's always-migrate loop lacks:
+// Migration selection: the tuner's last step. Given one decision's
+// Evaluation — the cheapest IC the optimizer found and the Eq. 1 costs of
+// it and of the current IC — the selector decides whether the recommended
+// IC actually fires, applying the production guardrails the paper's
+// always-migrate loop lacks:
 //
 //  * benefit dead-band — the hysteresis margin on modelled cost
 //    improvement (the legacy `min_improvement` rule; always on);
@@ -29,9 +30,15 @@
 #include <string_view>
 
 #include "index/index_config.hpp"
-#include "tuner/evaluator.hpp"
 
 namespace amri::tuner {
+
+/// One decision's scored recommendation, as the selector weighs it.
+struct Evaluation {
+  index::IndexConfig best;    ///< cheapest candidate found
+  double best_cost = 0.0;     ///< modelled C_D of `best`
+  double current_cost = 0.0;  ///< modelled C_D of the current IC
+};
 
 /// Why a recommended migration fired or was suppressed.
 enum class GuardrailVerdict : std::uint8_t {

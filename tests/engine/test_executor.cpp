@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <deque>
+#include <string>
 
 #include "../test_util.hpp"
 
@@ -189,6 +190,42 @@ TEST(Executor, StateSummariesPopulated) {
   EXPECT_EQ(r.states[1].stream, 1u);
   EXPECT_EQ(r.states[0].final_index, "scan");
   EXPECT_GT(r.states[0].probes + r.states[1].probes, 0u);
+}
+
+std::uint64_t payload_uint(const std::string& payload, const std::string& key) {
+  const std::string needle = "\"" + key + "\":";
+  const auto at = payload.find(needle);
+  if (at == std::string::npos) return 0;
+  return std::stoull(payload.substr(at + needle.size()));
+}
+
+TEST(Executor, BackpressureFiresOncePerBurstAndRearms) {
+  // Two bursts of 10,000 arrivals, each at a single timestamp, the second
+  // long after the first has drained: the backlog crosses the 10,000
+  // threshold once per burst, and the event re-arms in between.
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(1));
+  std::vector<Tuple> tuples;
+  for (const double ts : {1.0, 50.0}) {
+    for (int i = 0; i < 10000; ++i) {
+      tuples.push_back(mk(static_cast<StreamId>(i % 2), ts, {i / 2}));
+    }
+  }
+  ScriptedSource src(std::move(tuples));
+  telemetry::Telemetry telemetry;
+  ExecutorOptions o = base_options();
+  o.telemetry = &telemetry;
+  Executor ex(q, o);
+  const RunResult r = ex.run(src);
+  EXPECT_EQ(r.arrivals, 20000u);
+
+  std::size_t events = 0;
+  for (const telemetry::Event& e : telemetry.events().snapshot()) {
+    if (e.kind != telemetry::EventKind::kBackpressure) continue;
+    ++events;
+    EXPECT_GE(payload_uint(e.payload, "backlog"), 10000u) << e.payload;
+    EXPECT_EQ(payload_uint(e.payload, "threshold"), 10000u) << e.payload;
+  }
+  EXPECT_EQ(events, 2u);
 }
 
 }  // namespace

@@ -90,30 +90,6 @@ TEST(IndexOptimizer, PaperTableTwoCdiaOutcome) {
   EXPECT_EQ(r.config.bits(2), 2);
 }
 
-TEST(IndexOptimizer, ExhaustiveBeatsOrMatchesGreedy) {
-  const CostModel model(params());
-  OptimizerOptions opts;
-  opts.bit_budget = 8;
-  opts.max_bits_per_attr = 8;
-  const IndexOptimizer opt(model, opts);
-  const std::vector<PatternFrequency> pats = {
-      {0b001, 0.3}, {0b011, 0.3}, {0b110, 0.2}, {0b111, 0.2}};
-  const auto ex = opt.optimize(3, pats);
-  const auto gr = opt.optimize_greedy(3, pats);
-  EXPECT_LE(ex.cost, gr.cost + 1e-9);
-  EXPECT_LT(gr.configs_evaluated, ex.configs_evaluated);
-}
-
-TEST(IndexOptimizer, GreedyFindsSingleHotPattern) {
-  const CostModel model(params());
-  OptimizerOptions opts;
-  opts.bit_budget = 5;
-  opts.max_bits_per_attr = 5;
-  const IndexOptimizer opt(model, opts);
-  const auto r = opt.optimize_greedy(3, {{0b100, 1.0}});
-  EXPECT_EQ(r.config.bits(2), 5);
-}
-
 TEST(IndexOptimizer, BudgetRespected) {
   const CostModel model(params());
   OptimizerOptions opts;
@@ -154,7 +130,6 @@ TEST(IndexOptimizer, RejectsMoreAttributesThanTheMaskHolds) {
   const IndexOptimizer opt(model, opts);
   constexpr std::size_t kWidth = std::numeric_limits<AttrMask>::digits;
   EXPECT_THROW(opt.optimize(kWidth + 1, {}), std::invalid_argument);
-  EXPECT_THROW(opt.optimize_greedy(kWidth + 1, {}), std::invalid_argument);
   // The full mask width is fine: the zero allocation plus one bit on each.
   EXPECT_EQ(opt.optimize(kWidth, {}).configs_evaluated, kWidth + 1);
 }

@@ -2,7 +2,11 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <vector>
+
 #include "../test_util.hpp"
+#include "assessment/snapshot.hpp"
 #include "common/rng.hpp"
 
 namespace amri::tuner {
@@ -162,6 +166,202 @@ TEST(AmriTuner, AdaptsAcrossWorkloadShift) {
   tuner.maybe_tune(idx);
   EXPECT_GT(idx.config().bits(1), 0);
   EXPECT_EQ(idx.config().bits(0), 0);
+}
+
+// ---- Assessor cells: a state's (query, shard) grid inside the tuner -----
+
+constexpr std::size_t kQueries = 2;
+constexpr std::size_t kShards = 3;
+
+struct CellRequest {
+  AttrMask ap = 0;
+  std::size_t query = 0;
+  std::size_t shard = 0;
+};
+
+/// A drifting request stream over 3 attributes (the hot pattern moves
+/// every 700 requests) with random (query, shard) attribution.
+std::vector<CellRequest> cell_stream(std::uint64_t seed, std::size_t n) {
+  Rng rng(seed);
+  const AttrMask hot[] = {0b001, 0b110, 0b100, 0b011, 0b010};
+  std::vector<CellRequest> out;
+  out.reserve(n);
+  for (std::size_t i = 0; i < n; ++i) {
+    CellRequest r;
+    r.ap = rng.below(10) < 7 ? hot[(i / 700) % 5]
+                             : static_cast<AttrMask>(1 + rng.below(7));
+    r.query = rng.below(kQueries);
+    r.shard = rng.below(kShards);
+    out.push_back(r);
+  }
+  return out;
+}
+
+TEST(AmriTunerCells, GridDecidesLikeOneCell) {
+  // SRIA and DIA counts add exactly, so merging 2 queries x 3 shards of
+  // cells must reproduce a one-cell tuner fed the same stream bit for bit,
+  // whether retention resets or keeps the cells.
+  for (const auto kind :
+       {assessment::AssessorKind::kSria, assessment::AssessorKind::kDia}) {
+    for (const auto retention :
+         {StatsRetention::kReset, StatsRetention::kKeep}) {
+      SCOPED_TRACE(assessment::assessor_kind_name(kind) +
+                   (retention == StatsRetention::kReset ? " reset" : " keep"));
+      TunerOptions o = fast_options();
+      o.assessor = kind;
+      o.retention = retention;
+      AmriTuner one(0b111, 3, paper_model(), o);
+      AmriTuner grid(0b111, 3, paper_model(), o, nullptr, nullptr, 0,
+                     kQueries, kShards);
+      index::BitAddressIndex one_idx(index::JoinAttributeSet({0, 1, 2}),
+                                     index::IndexConfig({2, 2, 2}),
+                                     index::BitMapper::hashing(3));
+      index::BitAddressIndex grid_idx(index::JoinAttributeSet({0, 1, 2}),
+                                      index::IndexConfig({2, 2, 2}),
+                                      index::BitMapper::hashing(3));
+      testutil::TuplePool pool(200, 3, 50, 77);
+      for (const Tuple* t : pool.pointers()) {
+        one_idx.insert(t);
+        grid_idx.insert(t);
+      }
+
+      std::size_t decisions = 0;
+      for (const CellRequest& r : cell_stream(91, 3500)) {
+        one.observe_request(r.ap);
+        grid.observe_request(r.ap, r.query, r.shard);
+        ASSERT_EQ(one.tuning_due(), grid.tuning_due());
+        if (!one.tuning_due()) continue;
+        const TuneDecision a = one.maybe_tune(one_idx);
+        const TuneDecision b = grid.maybe_tune(grid_idx);
+        EXPECT_EQ(a.recommended, b.recommended) << "decision " << decisions;
+        EXPECT_EQ(a.recommended_cost, b.recommended_cost)
+            << "decision " << decisions;
+        EXPECT_EQ(a.current_cost, b.current_cost) << "decision " << decisions;
+        EXPECT_EQ(a.frequent_patterns, b.frequent_patterns)
+            << "decision " << decisions;
+        EXPECT_EQ(a.migrated, b.migrated) << "decision " << decisions;
+        ++decisions;
+      }
+      EXPECT_GE(decisions, 5u);
+      EXPECT_GT(one.migrations(), 0u);
+      EXPECT_EQ(one.migrations(), grid.migrations());
+      EXPECT_EQ(one_idx.config(), grid_idx.config());
+    }
+  }
+}
+
+TEST(AmriTunerCells, QuerySharesSplitEachEpoch) {
+  TunerOptions o = fast_options();
+  AmriTuner grid(0b111, 3, paper_model(), o, nullptr, nullptr, 0, kQueries,
+                 kShards);
+  AmriTuner one(0b111, 3, paper_model(), o);
+  std::vector<std::uint64_t> expected(kQueries, 0);
+  std::size_t decisions = 0;
+  for (const CellRequest& r : cell_stream(92, 3000)) {
+    grid.observe_request(r.ap, r.query, r.shard);
+    one.observe_request(r.ap);
+    ++expected[r.query];
+    if (!grid.tuning_due()) continue;
+    const TuneDecision d = grid.recommend(index::IndexConfig::zero(3));
+    ASSERT_EQ(d.query_shares.size(), kQueries);
+    std::uint64_t total = 0;
+    for (std::size_t q = 0; q < kQueries; ++q) {
+      EXPECT_EQ(d.query_shares[q].query, q);
+      EXPECT_EQ(d.query_shares[q].requests, expected[q]);
+      total += d.query_shares[q].requests;
+    }
+    EXPECT_EQ(total, o.reassess_every);
+    expected.assign(kQueries, 0);
+    // A single-query tuner attaches no shares.
+    EXPECT_TRUE(
+        one.recommend(index::IndexConfig::zero(3)).query_shares.empty());
+    ++decisions;
+  }
+  EXPECT_GE(decisions, 5u);
+}
+
+TEST(AmriTunerCells, StatisticsMemoryCoversEveryCell) {
+  // A mirror grid fed the same requests, with the same retention applied
+  // at every decision, predicts the tracker's kStatistics bytes exactly.
+  for (const auto retention :
+       {StatsRetention::kReset, StatsRetention::kDecay}) {
+    SCOPED_TRACE(retention == StatsRetention::kReset ? "reset" : "decay");
+    TunerOptions o = fast_options();
+    o.retention = retention;
+    o.decay_factor = 0.5;
+    MemoryTracker mem;
+    {
+      AmriTuner grid(0b111, 3, paper_model(), o, &mem, nullptr, 0, kQueries,
+                     kShards);
+      std::vector<std::unique_ptr<assessment::Assessor>> mirror;
+      for (std::size_t i = 0; i < kQueries * kShards; ++i) {
+        mirror.push_back(
+            assessment::make_assessor(o.assessor, 0b111, o.assessor_params));
+      }
+      std::size_t decisions = 0;
+      for (const CellRequest& r : cell_stream(93, 3100)) {
+        grid.observe_request(r.ap, r.query, r.shard);
+        mirror[r.query * kShards + r.shard]->observe(r.ap);
+        if (grid.tuning_due()) {
+          grid.recommend(index::IndexConfig::zero(3));
+          for (auto& cell : mirror) {
+            if (retention == StatsRetention::kReset) {
+              cell->reset();
+            } else {
+              cell->decay(o.decay_factor);
+            }
+          }
+          ++decisions;
+        }
+        std::size_t bytes = 0;
+        for (const auto& cell : mirror) bytes += cell->approx_bytes();
+        ASSERT_EQ(mem.category(MemCategory::kStatistics), bytes)
+            << "after decision " << decisions;
+      }
+      EXPECT_GE(decisions, 5u);
+      EXPECT_GT(mem.category(MemCategory::kStatistics), 0u);
+    }
+    EXPECT_EQ(mem.category(MemCategory::kStatistics), 0u);
+  }
+}
+
+TEST(AmriTunerCells, OneCellMergeMatchesAssessorResults) {
+  // A plain state's tuner merges its single cell at every decision, so
+  // the merge of one snapshot must answer exactly like that assessor's
+  // results(), for every kind and after decay too: same patterns, counts,
+  // error bounds, frequencies and order, over as many entries as the
+  // assessor retains.
+  using assessment::AssessorKind;
+  for (const auto kind :
+       {AssessorKind::kSria, AssessorKind::kCsria, AssessorKind::kDia,
+        AssessorKind::kCdiaRandom, AssessorKind::kCdiaHighestCount}) {
+    SCOPED_TRACE(assessment::assessor_kind_name(kind));
+    assessment::AssessorParams params;
+    params.epsilon = 0.02;
+    auto cell = assessment::make_assessor(kind, 0b1111, params);
+    Rng rng(94);
+    for (std::size_t round = 0; round < 6; ++round) {
+      for (int i = 0; i < 700; ++i) {
+        cell->observe(rng.below(10) < 6
+                          ? static_cast<AttrMask>(1 + round % 15)
+                          : static_cast<AttrMask>(rng.below(16)));
+      }
+      if (round % 2 == 1) cell->decay(0.5);
+      const auto merged = assessment::merge_snapshots({cell->snapshot()});
+      EXPECT_EQ(merged.entries.size(), cell->table_size()) << round;
+      for (const double theta : {0.02, 0.1, 0.3}) {
+        const auto got = assessment::snapshot_results(merged, theta);
+        const auto want = cell->results(theta);
+        ASSERT_EQ(got.size(), want.size()) << round << " theta " << theta;
+        for (std::size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].mask, want[i].mask) << round << " #" << i;
+          EXPECT_EQ(got[i].count, want[i].count) << round << " #" << i;
+          EXPECT_EQ(got[i].max_error, want[i].max_error) << round << " #" << i;
+          EXPECT_EQ(got[i].frequency, want[i].frequency) << round << " #" << i;
+        }
+      }
+    }
+  }
 }
 
 }  // namespace

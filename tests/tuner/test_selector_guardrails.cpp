@@ -57,7 +57,6 @@ Evaluation random_evaluation(Rng& rng, std::size_t num_attrs, int budget) {
   // Half the draws are improvements, half regressions/noise near zero.
   e.best_cost = e.current_cost * (rng.below(2) != 0 ? rng.uniform01()
                                                     : 0.9 + rng.uniform01());
-  e.configs_evaluated = 1 + rng.below(32);
   return e;
 }
 

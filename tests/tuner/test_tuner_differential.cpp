@@ -1,5 +1,5 @@
-// Differential tests pinning the refactored evaluator/selector tuner to
-// the legacy AmriTuner behaviour:
+// Differential tests pinning the tuner's guardrail selector
+// (tuner/selector.hpp) to the legacy AmriTuner migration rule:
 //
 //   * with guardrails unset, every applied decision must match the legacy
 //     migration rule recomputed from the decision's own numbers
