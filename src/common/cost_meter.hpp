@@ -5,7 +5,10 @@
 // "throughput over time" reproduces the structure of the paper's Equation 1.
 #pragma once
 
+#include <cmath>
 #include <cstdint>
+#include <stdexcept>
+#include <string>
 
 #include "common/types.hpp"
 #include "common/virtual_clock.hpp"
@@ -26,65 +29,57 @@ struct CostParams {
 
 /// Accumulates operation counts and charges their cost to a clock.
 /// The meter can be detached (null clock) for pure counting in unit tests.
+///
+/// The meter is integer. Each unit cost is rounded once, at construction,
+/// to the nearest whole picosecond (llround(us × 1e6): 1/3 µs charges
+/// 333,333 ps), and every charge adds n × unit exactly. Integer addition
+/// associates, so any grouping of the same charges (one call per unit,
+/// one per kind, any order) gives the same counts, charged_us() and
+/// clock. The total is whole microseconds plus a picosecond remainder
+/// below one microsecond; the clock advances by each whole microsecond
+/// the total crosses. Both saturate at kTimeMax.
 class CostMeter {
  public:
-  CostMeter() = default;
-  explicit CostMeter(VirtualClock* clock, CostParams params = {})
-      : clock_(clock), params_(params) {}
+  /// Largest accepted unit cost (1000 virtual seconds per operation).
+  static constexpr double kMaxCostUs = 1e9;
 
-  const CostParams& params() const { return params_; }
-  void set_params(const CostParams& p) { params_ = p; }
-  void attach(VirtualClock* clock) { clock_ = clock; }
+  CostMeter() : CostMeter(nullptr) {}
+
+  /// Throws std::invalid_argument naming the field unless every cost is
+  /// finite, >= 0 and at most kMaxCostUs.
+  explicit CostMeter(VirtualClock* clock, CostParams params = {})
+      : clock_(clock),
+        hash_ps_(to_picos(params.hash_cost_us, "hash_cost_us")),
+        compare_ps_(to_picos(params.compare_cost_us, "compare_cost_us")),
+        route_ps_(to_picos(params.route_cost_us, "route_cost_us")),
+        insert_ps_(to_picos(params.insert_cost_us, "insert_cost_us")),
+        delete_ps_(to_picos(params.delete_cost_us, "delete_cost_us")),
+        bucket_visit_ps_(
+            to_picos(params.bucket_visit_cost_us, "bucket_visit_cost_us")) {}
 
   void charge_hash(std::uint64_t n = 1) {
     hashes_ += n;
-    charge(static_cast<double>(n) * params_.hash_cost_us);
+    charge(n, hash_ps_);
   }
   void charge_compare(std::uint64_t n = 1) {
     compares_ += n;
-    charge(static_cast<double>(n) * params_.compare_cost_us);
+    charge(n, compare_ps_);
   }
   void charge_route(std::uint64_t n = 1) {
     routes_ += n;
-    charge(static_cast<double>(n) * params_.route_cost_us);
+    charge(n, route_ps_);
   }
   void charge_insert(std::uint64_t n = 1) {
     inserts_ += n;
-    charge(static_cast<double>(n) * params_.insert_cost_us);
+    charge(n, insert_ps_);
   }
   void charge_delete(std::uint64_t n = 1) {
     deletes_ += n;
-    charge(static_cast<double>(n) * params_.delete_cost_us);
+    charge(n, delete_ps_);
   }
   void charge_bucket_visit(std::uint64_t n = 1) {
     bucket_visits_ += n;
-    charge(static_cast<double>(n) * params_.bucket_visit_cost_us);
-  }
-
-  /// One bucket visit and the comparison of its `n` stored tuples. Equal
-  /// bit for bit to charge_bucket_visit() followed by n charge_compare()
-  /// calls: the same additions in the same order, run on local copies of
-  /// the running sums, with the whole ticks advanced once at the end.
-  /// Nothing reads the meter or the clock inside a scan and the clock
-  /// saturates, so one advance lands where n + 1 would. (charge_compare(n)
-  /// multiplies, which rounds differently.)
-  void charge_bucket_scan(std::uint64_t n) {
-    bucket_visits_ += 1;
-    compares_ += n;
-    const double visit = params_.bucket_visit_cost_us;
-    const double compare = params_.compare_cost_us;
-    double charged = charged_us_ + visit;
-    double fractional = fractional_;
-    TimeMicros ticks = 0;
-    accrue(fractional, ticks, visit);
-    for (std::uint64_t i = 0; i < n; ++i) {
-      charged += compare;
-      accrue(fractional, ticks, compare);
-    }
-    charged_us_ = charged;
-    if (clock_ == nullptr) return;  // a detached meter keeps no remainder
-    fractional_ = fractional;
-    if (ticks > 0) clock_->advance(ticks);
+    charge(n, bucket_visit_ps_);
   }
 
   std::uint64_t hashes() const { return hashes_; }
@@ -94,42 +89,67 @@ class CostMeter {
   std::uint64_t deletes() const { return deletes_; }
   std::uint64_t bucket_visits() const { return bucket_visits_; }
 
-  /// Total charged virtual time, in microseconds.
-  double charged_us() const { return charged_us_; }
+  /// Total charged virtual time, in microseconds (for reporting: the
+  /// exact total is the integer pair behind it).
+  double charged_us() const {
+    return static_cast<double>(whole_us_) +
+           static_cast<double>(remainder_ps_) / 1e6;
+  }
 
   void reset_counts() {
     hashes_ = compares_ = routes_ = inserts_ = deletes_ = bucket_visits_ = 0;
-    charged_us_ = 0.0;
     // Also drop the sub-microsecond remainder pending against the clock;
     // otherwise it leaks into the first charge after a reset.
-    fractional_ = 0.0;
+    whole_us_ = 0;
+    remainder_ps_ = 0;
   }
 
  private:
-  void charge(double us) {
-    charged_us_ += us;
-    if (clock_ != nullptr) {
-      TimeMicros ticks = 0;
-      accrue(fractional_, ticks, us);
-      if (ticks > 0) clock_->advance(ticks);
+  static constexpr std::uint64_t kPicosPerMicro = 1'000'000;
+
+  static std::uint64_t to_picos(double us, const char* field) {
+    if (!std::isfinite(us) || us < 0.0 || us > kMaxCostUs) {
+      throw std::invalid_argument(
+          std::string("cost meter: CostParams::") + field + " = " +
+          std::to_string(us) + " must be finite, >= 0 and <= 1e9 us");
     }
+    return static_cast<std::uint64_t>(
+        std::llround(us * static_cast<double>(kPicosPerMicro)));
   }
 
-  /// Accumulate fractional microseconds and move the whole ones into
-  /// `ticks` (saturating, like the clock) for the caller to advance.
-  static void accrue(double& fractional, TimeMicros& ticks, double us) {
-    fractional += us;
-    const auto whole = static_cast<TimeMicros>(fractional);
-    if (whole > 0) {
-      ticks = ticks > kTimeMax - whole ? kTimeMax : ticks + whole;
-      fractional -= static_cast<double>(whole);
+  /// Add n × unit_ps (at most ~2^114 ps, so 128 bits never wrap) and move
+  /// the whole microseconds out of the remainder, saturating at kTimeMax.
+  void charge(std::uint64_t n, std::uint64_t unit_ps) {
+    const __uint128_t ps =
+        static_cast<__uint128_t>(n) * unit_ps + remainder_ps_;
+    __uint128_t whole = 0;
+    if ((ps >> 64) == 0) {  // the common case: 64-bit division by a constant
+      const auto ps64 = static_cast<std::uint64_t>(ps);
+      whole = ps64 / kPicosPerMicro;
+      remainder_ps_ = ps64 % kPicosPerMicro;
+    } else {
+      whole = ps / kPicosPerMicro;
+      remainder_ps_ = static_cast<std::uint64_t>(ps % kPicosPerMicro);
     }
+    if (whole == 0) return;
+    const TimeMicros ticks =
+        whole >= static_cast<__uint128_t>(kTimeMax)
+            ? kTimeMax
+            : static_cast<TimeMicros>(whole);
+    whole_us_ = whole_us_ > kTimeMax - ticks ? kTimeMax : whole_us_ + ticks;
+    if (clock_ != nullptr) clock_->advance(ticks);
   }
 
   VirtualClock* clock_ = nullptr;
-  CostParams params_{};
-  double fractional_ = 0.0;
-  double charged_us_ = 0.0;
+  // Unit costs in picoseconds, fixed at construction.
+  std::uint64_t hash_ps_;
+  std::uint64_t compare_ps_;
+  std::uint64_t route_ps_;
+  std::uint64_t insert_ps_;
+  std::uint64_t delete_ps_;
+  std::uint64_t bucket_visit_ps_;
+  TimeMicros whole_us_ = 0;            ///< saturates at kTimeMax
+  std::uint64_t remainder_ps_ = 0;     ///< always below kPicosPerMicro
   std::uint64_t hashes_ = 0;
   std::uint64_t compares_ = 0;
   std::uint64_t routes_ = 0;

@@ -106,9 +106,7 @@ void AccessModuleSet::retune(const std::vector<AttrMask>& new_masks) {
     match_all.mask = 0;
     match_all.values.resize(jas_.size(), Value{0});
     scan_.probe(match_all, all);
-    for (HashIndex* m : fresh) {
-      for (const Tuple* t : all) m->insert(t);
-    }
+    for (HashIndex* m : fresh) m->bulk_load(all);
   }
   modules_ = std::move(next);
 }

@@ -126,43 +126,37 @@ void BitAddressIndex::erase(const Tuple* t) {
 void BitAddressIndex::insert_batch(const Tuple* const* tuples,
                                    std::size_t n) {
   // Bucket ids are computed uncharged (the mapper is pure — the bulk_load()
-  // precedent) and the per-tuple loop replays insert()'s hash charges in
-  // its exact order; the charge count per tuple is computed once.
-  const int hash_charges = indexed_attr_count();
+  // precedent); the batch's hashes and inserts are charged once below.
   for (std::size_t i = 0; i < n; ++i) {
-    if (meter_ != nullptr) {
-      for (int h = 0; h < hash_charges; ++h) meter_->charge_hash();
-    }
     const std::size_t chain = buckets_.insert(
         bucket_of_uncharged(*tuples[i]), tuples[i], tuple_tag(*tuples[i]));
-    ++size_;
     if (chain_hist_ != nullptr) {
       chain_hist_->observe(static_cast<double>(chain));
     }
-    if (meter_ != nullptr) meter_->charge_insert();
+  }
+  size_ += n;
+  if (meter_ != nullptr) {
+    meter_->charge_hash(n * static_cast<std::uint64_t>(
+                                config_.indexed_attr_count()));
+    meter_->charge_insert(n);
   }
   sync_memory();
 }
 
 void BitAddressIndex::erase_batch(const Tuple* const* tuples, std::size_t n) {
-  const int hash_charges = indexed_attr_count();
+  std::size_t erased = 0;
   for (std::size_t i = 0; i < n; ++i) {
-    if (meter_ != nullptr) {
-      for (int h = 0; h < hash_charges; ++h) meter_->charge_hash();
-    }
-    if (!buckets_.erase(bucket_of_uncharged(*tuples[i]), tuples[i])) continue;
-    --size_;
-    if (meter_ != nullptr) meter_->charge_delete();
+    if (buckets_.erase(bucket_of_uncharged(*tuples[i]), tuples[i])) ++erased;
+  }
+  size_ -= erased;
+  // bucket_of hashes are charged for every tuple, present or not; the
+  // delete bookkeeping only for those removed (both as in erase()).
+  if (meter_ != nullptr) {
+    meter_->charge_hash(n * static_cast<std::uint64_t>(
+                                config_.indexed_attr_count()));
+    meter_->charge_delete(erased);
   }
   sync_memory();
-}
-
-int BitAddressIndex::indexed_attr_count() const {
-  int c = 0;
-  for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-    if (config_.bits(pos) != 0) ++c;
-  }
-  return c;
 }
 
 BitAddressIndex::ProbeLayout BitAddressIndex::layout_for(const ProbeKey& key) {
@@ -193,17 +187,15 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
   ProbeStats stats;
   const ProbeLayout layout = layout_for(key);
 
-  // The one bucket scan of every strategy. It charges the visit and the
+  // The one bucket scan of every strategy. It counts the visit and the
   // modelled comparison of every entry (Eq. 1's C_c per stored tuple),
   // then rejects entries whose signature disagrees with a bound value in
   // bucket memory and verifies the rest on the tuple. A null bucket is an
   // enumerated id with nothing stored: a visit alone.
   const auto scan = [&](const Bucket* bucket) {
-    const std::size_t n = bucket == nullptr ? 0 : bucket->size();
     ++stats.buckets_visited;
-    stats.tuples_compared += n;
-    if (meter_ != nullptr) meter_->charge_bucket_scan(n);
     if (bucket == nullptr) return;
+    stats.tuples_compared += bucket->size();
     for (const BucketEntry& e : *bucket) {
       if ((e.tag & layout.sig_mask) != layout.sig) continue;
       if (key.matches(*e.tuple, jas_)) {
@@ -236,6 +228,12 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
     buckets_.for_each([&](BucketId id, const Bucket& bucket) {
       if ((id & layout.fixed_mask) == layout.fixed) scan(&bucket);
     });
+  }
+  // The counted work, charged once: the meter is integer, so this equals
+  // charging each visit and comparison as it happens.
+  if (meter_ != nullptr) {
+    meter_->charge_bucket_visit(stats.buckets_visited);
+    meter_->charge_compare(stats.tuples_compared);
   }
   return stats;
 }
@@ -276,9 +274,8 @@ ProbeStats BitAddressIndex::probe_range(const RangeProbeKey& key,
   }
 
   auto scan_bucket = [&](const Bucket& bucket) {
+    stats.tuples_compared += bucket.size();
     for (const BucketEntry& e : bucket) {
-      ++stats.tuples_compared;
-      if (meter_ != nullptr) meter_->charge_compare();
       if (key.matches(*e.tuple, jas_)) {
         out.push_back(e.tuple);
         ++stats.matches;
@@ -296,7 +293,6 @@ ProbeStats BitAddressIndex::probe_range(const RangeProbeKey& key,
         id |= current[i] << ranges[i].shift;
       }
       ++stats.buckets_visited;
-      if (meter_ != nullptr) meter_->charge_bucket_visit();
       const Bucket* bucket = buckets_.find(id);
       if (bucket != nullptr) scan_bucket(*bucket);
       // Advance the odometer; when every digit wraps, we are done.
@@ -323,9 +319,12 @@ ProbeStats BitAddressIndex::probe_range(const RangeProbeKey& key,
         ++r;
       }
       ++stats.buckets_visited;
-      if (meter_ != nullptr) meter_->charge_bucket_visit();
       scan_bucket(bucket);
     });
+  }
+  if (meter_ != nullptr) {
+    meter_->charge_bucket_visit(stats.buckets_visited);
+    meter_->charge_compare(stats.tuples_compared);
   }
   return stats;
 }
@@ -439,12 +438,14 @@ void BitAddressIndex::reconfigure(const IndexConfig& new_config) {
     for (const BucketEntry& e : bucket) all.push_back(e);
   });
   buckets_.clear();
-  size_ = 0;
   config_ = new_config;
   for (const BucketEntry& e : all) {
-    const BucketId id = bucket_of(*e.tuple);  // charges N_A hashes per tuple
-    buckets_.insert(id, e.tuple, e.tag);
-    ++size_;
+    buckets_.insert(bucket_of_uncharged(*e.tuple), e.tuple, e.tag);
+  }
+  // N_A(new) hashes per relocated tuple, charged once.
+  if (meter_ != nullptr) {
+    meter_->charge_hash(size_ * static_cast<std::uint64_t>(
+                                    config_.indexed_attr_count()));
   }
   sync_memory();
   if (imbalance_gauge_ != nullptr) {

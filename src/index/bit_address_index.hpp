@@ -112,7 +112,8 @@ class BitAddressIndex final : public TupleIndex {
 
   /// Replace the IC and re-bucket every stored tuple (the paper's index
   /// adaptation: relocate each tuple to the buckets defined by the new IC).
-  /// Charges one hash per indexed attribute per tuple.
+  /// Charges one hash per indexed attribute of the new IC per tuple, in one
+  /// charge after the rebuild.
   void reconfigure(const IndexConfig& new_config);
 
   /// Insert many tuples at once, with the same result as sequential
@@ -143,11 +144,9 @@ class BitAddressIndex final : public TupleIndex {
   };
 
   ProbeLayout layout_for(const ProbeKey& key);
-  /// bucket_of without meter charges (migration precompute, invariants,
-  /// batched insert/erase).
+  /// bucket_of without meter charges (invariants, and the batched
+  /// insert/erase, bulk load and reconfigure, which charge once per call).
   BucketId bucket_of_uncharged(const Tuple& t) const;
-  /// Indexed attributes (bits > 0): the hashes bucket_of charges.
-  int indexed_attr_count() const;
   /// Value signature of JAS position `pos` holding `v`: the top
   /// sig_width_ bits of mix64(v), shifted to the position's chunk at
   /// pos * sig_width_. Equal values give equal chunks, so the signature

@@ -31,34 +31,53 @@ HashIndex::~HashIndex() {
   }
 }
 
-std::uint64_t HashIndex::hash_tuple(const Tuple& t) {
+std::uint64_t HashIndex::hash_tuple(const Tuple& t) const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for_each_bit(key_mask_, [&](unsigned pos) {
     h = mix(h, static_cast<std::uint64_t>(t.at(jas_.tuple_attr(pos))));
-    if (meter_ != nullptr) meter_->charge_hash();
   });
   return h;
 }
 
-std::uint64_t HashIndex::hash_key(const ProbeKey& key) {
+std::uint64_t HashIndex::hash_key(const ProbeKey& key) const {
   std::uint64_t h = 0xcbf29ce484222325ULL;
   for_each_bit(key_mask_, [&](unsigned pos) {
     h = mix(h, static_cast<std::uint64_t>(key.values[pos]));
-    if (meter_ != nullptr) meter_->charge_hash();
   });
   return h;
+}
+
+void HashIndex::sync_memory() {
+  const std::size_t now = memory_bytes();
+  if (memory_ != nullptr) {
+    if (now > tracked_bytes_) {
+      memory_->allocate(MemCategory::kIndexStructure, now - tracked_bytes_);
+    } else if (now < tracked_bytes_) {
+      memory_->release(MemCategory::kIndexStructure, tracked_bytes_ - now);
+    }
+  }
+  tracked_bytes_ = now;
 }
 
 void HashIndex::insert(const Tuple* t) {
   assert(t != nullptr);
   table_.emplace(hash_tuple(*t), t);
   ++size_;
-  if (meter_ != nullptr) meter_->charge_insert();
-  const std::size_t now = memory_bytes();
-  if (memory_ != nullptr && now > tracked_bytes_) {
-    memory_->allocate(MemCategory::kIndexStructure, now - tracked_bytes_);
+  if (meter_ != nullptr) {
+    meter_->charge_hash(key_hashes());
+    meter_->charge_insert();
   }
-  tracked_bytes_ = now;
+  sync_memory();
+}
+
+void HashIndex::bulk_load(const std::vector<const Tuple*>& tuples) {
+  for (const Tuple* t : tuples) table_.emplace(hash_tuple(*t), t);
+  size_ += tuples.size();
+  if (meter_ != nullptr) {
+    meter_->charge_hash(tuples.size() * key_hashes());
+    meter_->charge_insert(tuples.size());
+  }
+  sync_memory();
 }
 
 void HashIndex::erase(const Tuple* t) {
@@ -72,12 +91,11 @@ void HashIndex::erase(const Tuple* t) {
       break;
     }
   }
-  if (meter_ != nullptr) meter_->charge_delete();
-  const std::size_t now = memory_bytes();
-  if (memory_ != nullptr && now < tracked_bytes_) {
-    memory_->release(MemCategory::kIndexStructure, tracked_bytes_ - now);
+  if (meter_ != nullptr) {
+    meter_->charge_hash(key_hashes());
+    meter_->charge_delete();
   }
-  tracked_bytes_ = now;
+  sync_memory();
 }
 
 ProbeStats HashIndex::probe(const ProbeKey& key,
@@ -86,15 +104,18 @@ ProbeStats HashIndex::probe(const ProbeKey& key,
   ProbeStats stats;
   const std::uint64_t h = hash_key(key);
   stats.buckets_visited = 1;
-  if (meter_ != nullptr) meter_->charge_bucket_visit();
   const auto [lo, hi] = table_.equal_range(h);
   for (auto it = lo; it != hi; ++it) {
     ++stats.tuples_compared;
-    if (meter_ != nullptr) meter_->charge_compare();
     if (key.matches(*it->second, jas_)) {
       out.push_back(it->second);
       ++stats.matches;
     }
+  }
+  if (meter_ != nullptr) {
+    meter_->charge_hash(key_hashes());
+    meter_->charge_bucket_visit(stats.buckets_visited);
+    meter_->charge_compare(stats.tuples_compared);
   }
   return stats;
 }

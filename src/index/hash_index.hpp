@@ -36,6 +36,11 @@ class HashIndex final : public TupleIndex {
   void insert(const Tuple* t) override;
   void erase(const Tuple* t) override;
 
+  /// Insert many tuples at once (a module rebuild), with the same result
+  /// and charges as sequential insert() calls, charged and memory-synced
+  /// once.
+  void bulk_load(const std::vector<const Tuple*>& tuples);
+
   /// Caller must ensure serves(key.mask); verified matches are appended.
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
@@ -45,8 +50,15 @@ class HashIndex final : public TupleIndex {
   void clear() override;
 
  private:
-  std::uint64_t hash_tuple(const Tuple& t);
-  std::uint64_t hash_key(const ProbeKey& key);
+  /// Hash of the key attributes; callers charge key_hashes() per key.
+  std::uint64_t hash_tuple(const Tuple& t) const;
+  std::uint64_t hash_key(const ProbeKey& key) const;
+  /// Hashes one key computation costs: one per key attribute.
+  std::uint64_t key_hashes() const {
+    return static_cast<std::uint64_t>(popcount(key_mask_));
+  }
+  /// Sync tracked_bytes_ (and the MemoryTracker) to memory_bytes().
+  void sync_memory();
 
   JoinAttributeSet jas_;
   AttrMask key_mask_;

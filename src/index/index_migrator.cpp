@@ -47,8 +47,8 @@ MigrationReport IndexMigrator::migrate(BitAddressIndex& index,
   }
   const TimeMicros started =
       telemetry_ != nullptr ? telemetry_->now() : TimeMicros{0};
-  // The reconfigure path recomputes bucket ids sequentially and charges the
-  // meter as it goes.
+  // reconfigure() rebuckets uncharged and charges the rebuild's hashes in
+  // one call; the clock is read only around the whole call.
   index.reconfigure(target);
   AMRI_CHECK_INVARIANTS(index);
   if (telemetry_ != nullptr) {

@@ -58,24 +58,27 @@ void OrderedIndex::erase(const Tuple* t) {
   sync_memory();
 }
 
+void OrderedIndex::charge_probe(const ProbeStats& stats) {
+  if (meter_ == nullptr) return;
+  meter_->charge_hash();  // tree descent
+  meter_->charge_bucket_visit(stats.buckets_visited);
+  meter_->charge_compare(stats.tuples_compared);
+}
+
 ProbeStats OrderedIndex::probe(const ProbeKey& key,
                                std::vector<const Tuple*>& out) {
   assert(has_bit(key.mask, static_cast<unsigned>(key_pos_)));
   ProbeStats stats;
   stats.buckets_visited = 1;
-  if (meter_ != nullptr) {
-    meter_->charge_hash();  // tree descent
-    meter_->charge_bucket_visit();
-  }
   const auto [lo, hi] = table_.equal_range(key.values[key_pos_]);
   for (auto it = lo; it != hi; ++it) {
     ++stats.tuples_compared;
-    if (meter_ != nullptr) meter_->charge_compare();
     if (key.matches(*it->second, jas_)) {
       out.push_back(it->second);
       ++stats.matches;
     }
   }
+  charge_probe(stats);
   return stats;
 }
 
@@ -83,10 +86,6 @@ ProbeStats OrderedIndex::probe_range(const RangeProbeKey& key,
                                      std::vector<const Tuple*>& out) {
   ProbeStats stats;
   stats.buckets_visited = 1;
-  if (meter_ != nullptr) {
-    meter_->charge_hash();
-    meter_->charge_bucket_visit();
-  }
   auto lo = table_.begin();
   auto hi = table_.end();
   if (key.bound(key_pos_)) {
@@ -95,12 +94,12 @@ ProbeStats OrderedIndex::probe_range(const RangeProbeKey& key,
   }
   for (auto it = lo; it != hi; ++it) {
     ++stats.tuples_compared;
-    if (meter_ != nullptr) meter_->charge_compare();
     if (key.matches(*it->second, jas_)) {
       out.push_back(it->second);
       ++stats.matches;
     }
   }
+  charge_probe(stats);
   return stats;
 }
 

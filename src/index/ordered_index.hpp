@@ -45,6 +45,9 @@ class OrderedIndex final : public TupleIndex {
 
  private:
   void sync_memory();
+  /// A probe's tree descent (modelled as one hash), bucket visit and
+  /// comparisons, charged once after the walk.
+  void charge_probe(const ProbeStats& stats);
 
   JoinAttributeSet jas_;
   std::size_t key_pos_;

@@ -47,14 +47,16 @@ ProbeStats ScanIndex::probe(const ProbeKey& key,
                             std::vector<const Tuple*>& out) {
   ProbeStats stats;
   stats.buckets_visited = 1;
-  if (meter_ != nullptr) meter_->charge_bucket_visit();
+  stats.tuples_compared = tuples_.size();
   for (const Tuple* t : tuples_) {
-    ++stats.tuples_compared;
-    if (meter_ != nullptr) meter_->charge_compare();
     if (key.matches(*t, jas_)) {
       out.push_back(t);
       ++stats.matches;
     }
+  }
+  if (meter_ != nullptr) {
+    meter_->charge_bucket_visit(stats.buckets_visited);
+    meter_->charge_compare(stats.tuples_compared);
   }
   return stats;
 }

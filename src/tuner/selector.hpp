@@ -15,7 +15,7 @@
 //    benefit rate amortizes it within a configurable horizon of cost-model
 //    time units;
 //  * per-epoch time budget — a token bucket of modelled migration
-//    microseconds accrued each epoch; a migration spends its what-if cost
+//    microseconds credited each epoch; a migration spends its what-if cost
 //    from the bucket and is suppressed when the bucket cannot cover it;
 //  * state-memory budget — migrations into ICs whose directory would
 //    exceed the budgeted statistics+index footprint are suppressed.
@@ -72,7 +72,7 @@ struct GuardrailOptions {
   /// µs of modelled work per time unit). Fire only when
   /// migration_cost_us <= horizon × benefit rate.
   double amortize_horizon_units = 50.0;
-  /// Modelled migration microseconds accrued per decision epoch into a
+  /// Modelled migration microseconds credited per decision epoch into a
   /// token bucket (capped at burst_epochs × this). A firing migration
   /// spends its what-if cost; an empty bucket suppresses. infinity = off.
   /// The defaults give a full bucket (200 µs) at startup — enough for the
@@ -131,7 +131,7 @@ class GuardrailSelector {
   const GuardrailOptions& options() const { return options_; }
 
   /// Decide whether `eval.best` should replace `eval.current`. Advances
-  /// the epoch counter and (enabled only) accrues/spends the time budget.
+  /// the epoch counter and (enabled only) credits and spends the time budget.
   Selection select(const Evaluation& eval, const index::IndexConfig& current,
                    const WhatIfContext& ctx);
 

@@ -14,9 +14,8 @@
 // expiry horizon and the burst grid dwarfs the sub-millisecond
 // virtual-time skew from expiring once per batch instead of once per
 // tuple, so both runs expire identical tuple sets. charged_us is compared
-// with a tolerance: the per-operation charge *counts* are exactly equal
-// (asserted), but summing the same charges in a different order rounds
-// differently in floating point.
+// exactly: the per-operation charge counts are equal, and the integer
+// meter sums the same charges to the same total in any order.
 //
 // Each batch size is compared with batch 1 at the same shard count. Runs
 // also match across shard counts only under kFixed routing with an exact,
@@ -212,9 +211,7 @@ void expect_equivalent(const Scenario& sc) {
       EXPECT_EQ(got.hashes, shard_base.hashes) << tag;
       EXPECT_EQ(got.compares, shard_base.compares) << tag;
       EXPECT_EQ(got.bucket_visits, shard_base.bucket_visits) << tag;
-      EXPECT_NEAR(got.charged_us, shard_base.charged_us,
-                  1e-6 * shard_base.charged_us + 1e-6)
-          << tag;
+      EXPECT_EQ(got.charged_us, shard_base.charged_us) << tag;
     }
   }
 }

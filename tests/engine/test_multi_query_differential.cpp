@@ -197,7 +197,7 @@ TEST(MultiQueryDifferential, SingleQueryMatchesExecutorExactly) {
     EXPECT_EQ(multi.arrivals, single.arrivals) << gp.label();
     EXPECT_EQ(multi.arrivals_filtered, single.arrivals_filtered) << gp.label();
     EXPECT_EQ(multi.arrivals_dropped, single.arrivals_dropped) << gp.label();
-    EXPECT_DOUBLE_EQ(multi.charged_us, single.charged_us) << gp.label();
+    EXPECT_EQ(multi.charged_us, single.charged_us) << gp.label();
     EXPECT_EQ(multi.routing_decisions, single.routing_decisions) << gp.label();
     EXPECT_EQ(multi.peak_memory, single.peak_memory) << gp.label();
     EXPECT_EQ(multi_results, single_results) << gp.label();

@@ -10,7 +10,10 @@
 // wall case) were re-recorded when every arrival began to route through
 // the one depth-first router: routing decisions are now taken per partial
 // at every batch size, results are emitted arrival by arrival, and route
-// charges are summed one decision at a time. Pinned:
+// charges are summed one decision at a time. The charged_us of the wall
+// and out-of-memory cases was re-recorded when the cost meter became
+// integer: it now reads the exact decimal sum of the charges, with every
+// other field unchanged. Pinned:
 //
 //   * counters: outputs, arrivals, filtered, dropped, routing decisions,
 //     peak memory, completed / died_at, on_result invocations;
@@ -475,7 +478,7 @@ TEST(PipelinePins, WallBatch256WithSelection) {
        .peak_memory = 292696,
        .completed = true,
        .died_at = kNoDeath,
-       .charged_bits = 0x40e97768f5c422ebULL,
+       .charged_bits = 0x40e97768f5c28f5cULL,
        .samples = 5,
        .sample_digest = 0x8d82dcbcbe4572c8ULL,
        .states =
@@ -498,7 +501,7 @@ TEST(PipelinePins, OomMidRun) {
        .peak_memory = 500120,
        .completed = false,
        .died_at = 9821409,
-       .charged_bits = 0x4104efd5fffdde5fULL,
+       .charged_bits = 0x4104efd600000000ULL,
        .samples = 4,
        .sample_digest = 0x3c6436acd3a08517ULL,
        .states =

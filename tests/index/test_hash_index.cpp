@@ -85,6 +85,38 @@ TEST(HashIndex, MemoryGrowsPerEntry) {
   EXPECT_GT(prev, 500u * 40);  // substantive per-entry overhead
 }
 
+TEST(HashIndex, BulkLoadMatchesSequentialInserts) {
+  testutil::TuplePool pool(300, 3, 20, 29);
+  CostParams costs;
+  costs.hash_cost_us = 1.0 / 3.0;
+  VirtualClock one_clock;
+  VirtualClock bulk_clock;
+  CostMeter one_meter(&one_clock, costs);
+  CostMeter bulk_meter(&bulk_clock, costs);
+  MemoryTracker one_mem;
+  MemoryTracker bulk_mem;
+  HashIndex one(jas3(), 0b101, &one_meter, &one_mem);
+  HashIndex bulk(jas3(), 0b101, &bulk_meter, &bulk_mem);
+  for (const Tuple* t : pool.pointers()) one.insert(t);
+  bulk.bulk_load(pool.pointers());
+
+  EXPECT_EQ(bulk.size(), one.size());
+  EXPECT_EQ(bulk.memory_bytes(), one.memory_bytes());
+  EXPECT_EQ(bulk_mem.total(), one_mem.total());
+  EXPECT_EQ(bulk_mem.peak(), one_mem.peak());
+  EXPECT_EQ(bulk_meter.hashes(), one_meter.hashes());
+  EXPECT_EQ(bulk_meter.inserts(), one_meter.inserts());
+  EXPECT_EQ(bulk_meter.charged_us(), one_meter.charged_us());
+  EXPECT_EQ(bulk_clock.now(), one_clock.now());
+  for (const Value a : {0, 3, 7}) {
+    std::vector<const Tuple*> one_out;
+    std::vector<const Tuple*> bulk_out;
+    one.probe(key_for(0b101, {a, 0, 5}), one_out);
+    bulk.probe(key_for(0b101, {a, 0, 5}), bulk_out);
+    EXPECT_EQ(bulk_out, one_out) << "A = " << a;
+  }
+}
+
 TEST(HashIndex, FindsAllDuplicates) {
   HashIndex idx(jas3(), 0b100);
   testutil::TuplePool pool(100, 3, 4, 17);  // small domain -> collisions
