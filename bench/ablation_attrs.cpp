@@ -28,7 +28,7 @@ double reported_mass(const std::vector<assessment::AssessedPattern>& res,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace amri::bench;
 
   const Config cfg = Config::from_args(argc, argv);
@@ -83,4 +83,8 @@ int main(int argc, char** argv) {
                "allocate bits with;\nthe SRIA/CSRIA columns shrink as the "
                "space grows — the paper's elimination\nprobability claim.)\n";
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

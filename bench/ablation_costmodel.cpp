@@ -7,7 +7,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace amri;
   using namespace amri::bench;
 
@@ -40,4 +40,8 @@ int main(int argc, char** argv) {
   }
   table.print(std::cout);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

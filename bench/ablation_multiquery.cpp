@@ -96,7 +96,7 @@ engine::ExecutorOptions make_options(std::size_t q, double rate,
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   const Config cfg = Config::from_args(argc, argv);
   const double rate = cfg.double_or("rate", 200.0);
   const double window_s = cfg.double_or("window", 20.0);
@@ -206,4 +206,8 @@ int main(int argc, char** argv) {
 
   maybe_write_json(cfg, records);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

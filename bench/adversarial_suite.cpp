@@ -74,7 +74,7 @@ struct RunStats {
 
 }  // namespace
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace amri::bench;
 
   const Config cfg = Config::from_args(argc, argv);
@@ -189,4 +189,8 @@ int main(int argc, char** argv) {
   table.print(std::cout);
   maybe_write_json(cfg, records);
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

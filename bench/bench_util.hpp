@@ -4,6 +4,7 @@
 #pragma once
 
 #include <cctype>
+#include <exception>
 #include <fstream>
 #include <iostream>
 #include <string>
@@ -11,8 +12,10 @@
 
 #include "bench_json.hpp"
 #include "common/config.hpp"
+#include "common/cost_meter.hpp"
 #include "common/table_printer.hpp"
 #include "engine/executor.hpp"
+#include "index/index_optimizer.hpp"
 #include "telemetry/export.hpp"
 #include "telemetry/telemetry.hpp"
 #include "workload/scenario.hpp"
@@ -83,9 +86,40 @@ struct EvalParams {
     p.bucket_cost = cfg.double_or("c_b", p.bucket_cost);
     p.route_cost = cfg.double_or("c_r", p.route_cost);
     p.insert_cost = cfg.double_or("c_i", p.insert_cost);
+    // The cost meter and the optimizer own the limits of these options:
+    // check them before a bench builds or prints anything.
+    CostMeter(nullptr, p.cost_params());
+    index::OptimizerOptions limits;
+    limits.bit_budget = p.bit_budget;
+    limits.max_bits_per_attr = p.max_bits_per_attr;
+    index::IndexOptimizer(index::CostModel(index::WorkloadParams{}), limits);
     return p;
   }
+
+  /// The metered unit costs (deletes cost what inserts cost).
+  CostParams cost_params() const {
+    CostParams c;
+    c.hash_cost_us = hash_cost;
+    c.compare_cost_us = compare_cost;
+    c.bucket_visit_cost_us = bucket_cost;
+    c.route_cost_us = route_cost;
+    c.insert_cost_us = insert_cost;
+    c.delete_cost_us = insert_cost;
+    return c;
+  }
 };
+
+/// A bench's main: runs `body` and turns an exception that escapes it (an
+/// option the engine rejects, say) into its message on stderr and exit
+/// code 1 instead of an abort.
+inline int guarded_main(int (*body)(int, char**), int argc, char** argv) {
+  try {
+    return body(argc, argv);
+  } catch (const std::exception& e) {
+    std::cerr << e.what() << "\n";
+    return 1;
+  }
+}
 
 /// A named run configuration: backend + assessor.
 struct MethodSpec {
@@ -113,12 +147,7 @@ inline workload::Scenario make_scenario(const EvalParams& p) {
 inline engine::ExecutorOptions make_executor_options(
     const workload::Scenario& sc, const EvalParams& p, const MethodSpec& m) {
   auto eopts = sc.default_executor_options();
-  eopts.costs.hash_cost_us = p.hash_cost;
-  eopts.costs.compare_cost_us = p.compare_cost;
-  eopts.costs.bucket_visit_cost_us = p.bucket_cost;
-  eopts.costs.route_cost_us = p.route_cost;
-  eopts.costs.insert_cost_us = p.insert_cost;
-  eopts.costs.delete_cost_us = p.insert_cost;
+  eopts.costs = p.cost_params();
   eopts.model_params.hash_cost = p.hash_cost;
   eopts.model_params.compare_cost = p.compare_cost;
   eopts.model_params.bucket_cost = p.bucket_cost;

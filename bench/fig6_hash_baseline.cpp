@@ -10,7 +10,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace amri;
   using namespace amri::bench;
 
@@ -93,4 +93,8 @@ int main(int argc, char** argv) {
               << " more results (paper: +93%)\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

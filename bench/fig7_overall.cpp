@@ -11,7 +11,7 @@
 
 #include "bench_util.hpp"
 
-int main(int argc, char** argv) {
+int bench_main(int argc, char** argv) {
   using namespace amri;
   using namespace amri::bench;
 
@@ -89,4 +89,8 @@ int main(int argc, char** argv) {
               << " (paper: +75%)\n";
   }
   return 0;
+}
+
+int main(int argc, char** argv) {
+  return amri::bench::guarded_main(bench_main, argc, argv);
 }

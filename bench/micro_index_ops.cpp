@@ -16,7 +16,6 @@
 #include "common/rng.hpp"
 #include "index/access_module_set.hpp"
 #include "index/bit_address_index.hpp"
-#include "index/ordered_index.hpp"
 #include "index/scan_index.hpp"
 
 namespace {
@@ -55,8 +54,7 @@ void BM_BitAddress_Insert(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 1);
   const auto bits = static_cast<std::uint8_t>(state.range(0));
   for (auto _ : state) {
-    BitAddressIndex idx(jas3(), IndexConfig({bits, bits, bits}),
-                        BitMapper::hashing(3));
+    BitAddressIndex idx(jas3(), IndexConfig({bits, bits, bits}));
     for (const auto& t : tuples) idx.insert(t.get());
     benchmark::DoNotOptimize(idx.size());
   }
@@ -87,7 +85,7 @@ IndexConfig config_for(std::size_t tuples) {
 void BM_BitAddress_ProbeExact(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const auto tuples = make_tuples(n, 2);
-  BitAddressIndex idx(jas3(), config_for(n), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), config_for(n));
   for (const auto& t : tuples) idx.insert(t.get());
   Rng rng(3);
   std::vector<const Tuple*> out;
@@ -110,7 +108,6 @@ BENCHMARK(BM_BitAddress_ProbeExact)->Arg(10000)->Arg(100000);
 struct UnorderedDirectoryIndex {
   JoinAttributeSet jas = jas3();
   IndexConfig config;
-  BitMapper mapper = BitMapper::hashing(3);
   std::unordered_map<BucketId, std::vector<const Tuple*>> buckets;
   std::size_t size = 0;
 
@@ -121,7 +118,7 @@ struct UnorderedDirectoryIndex {
     for (std::size_t pos = 0; pos < config.num_attrs(); ++pos) {
       const int bits = config.bits(pos);
       if (bits == 0) continue;
-      id |= mapper.map(pos, t.at(jas.tuple_attr(pos)), bits)
+      id |= value_bits(pos, t.at(jas.tuple_attr(pos)), bits)
             << config.shift_of(pos);
     }
     return id;
@@ -149,7 +146,7 @@ struct UnorderedDirectoryIndex {
     for (std::size_t pos = 0; pos < config.num_attrs(); ++pos) {
       const int bits = config.bits(pos);
       if (bits == 0) continue;
-      id |= mapper.map(pos, key.values[pos], bits) << config.shift_of(pos);
+      id |= value_bits(pos, key.values[pos], bits) << config.shift_of(pos);
     }
     const auto it = buckets.find(id);
     if (it == buckets.end()) return;
@@ -202,7 +199,7 @@ void BM_BitAddress_InsertProbeChurn(benchmark::State& state) {
   const auto n = static_cast<std::size_t>(state.range(0));
   const std::size_t window = n / 2;
   const auto tuples = make_tuples(n, 21);
-  BitAddressIndex idx(jas3(), config_for(n), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), config_for(n));
   for (std::size_t i = 0; i < window; ++i) idx.insert(tuples[i].get());
   Rng rng(22);
   std::vector<const Tuple*> out;
@@ -253,7 +250,7 @@ BENCHMARK(BM_UnorderedBaseline_InsertProbeChurn)->Arg(10000)->Arg(100000);
 
 void BM_BitAddress_ProbeWildcard(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 2);
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}));
   for (const auto& t : tuples) idx.insert(t.get());
   Rng rng(4);
   std::vector<const Tuple*> out;
@@ -326,7 +323,7 @@ BENCHMARK(BM_Scan_Probe);
 
 void BM_BitAddress_Migrate(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 10);
-  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}));
   for (const auto& t : tuples) idx.insert(t.get());
   const IndexConfig a({6, 0, 0});
   const IndexConfig b({2, 2, 2});
@@ -341,60 +338,20 @@ void BM_BitAddress_Migrate(benchmark::State& state) {
 }
 BENCHMARK(BM_BitAddress_Migrate);
 
-void BM_BitAddress_RangeProbe(benchmark::State& state) {
-  const auto tuples = make_tuples(kTuples, 13);
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}),
-                      BitMapper::ranged({{0, kDomain - 1},
-                                         {0, kDomain - 1},
-                                         {0, kDomain - 1}}));
-  for (const auto& t : tuples) idx.insert(t.get());
-  Rng rng(14);
-  std::vector<const Tuple*> out;
-  const auto width = static_cast<Value>(state.range(0));
-  for (auto _ : state) {
-    const Value lo = static_cast<Value>(rng.below(kDomain - width));
-    RangeProbeKey key;
-    key.bind(0, lo, lo + width);
-    out.clear();
-    benchmark::DoNotOptimize(idx.probe_range(key, out));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_BitAddress_RangeProbe)->Arg(10)->Arg(100);
-
-void BM_Ordered_RangeProbe(benchmark::State& state) {
-  const auto tuples = make_tuples(kTuples, 13);
-  OrderedIndex idx(jas3(), 0);
-  for (const auto& t : tuples) idx.insert(t.get());
-  Rng rng(15);
-  std::vector<const Tuple*> out;
-  const auto width = static_cast<Value>(state.range(0));
-  for (auto _ : state) {
-    const Value lo = static_cast<Value>(rng.below(kDomain - width));
-    RangeProbeKey key;
-    key.bind(0, lo, lo + width);
-    out.clear();
-    benchmark::DoNotOptimize(idx.probe_range(key, out));
-  }
-  state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()));
-}
-BENCHMARK(BM_Ordered_RangeProbe)->Arg(10)->Arg(100);
-
-void BM_BitAddress_BulkLoad(benchmark::State& state) {
+void BM_BitAddress_InsertBatch(benchmark::State& state) {
   const auto tuples = make_tuples(100000, 12);
   std::vector<const Tuple*> ptrs;
   ptrs.reserve(tuples.size());
   for (const auto& t : tuples) ptrs.push_back(t.get());
   for (auto _ : state) {
-    BitAddressIndex idx(jas3(), IndexConfig({5, 5, 4}),
-                        BitMapper::hashing(3));
-    idx.bulk_load(ptrs);
+    BitAddressIndex idx(jas3(), IndexConfig({5, 5, 4}));
+    idx.insert_batch(ptrs.data(), ptrs.size());
     benchmark::DoNotOptimize(idx.size());
   }
   state.SetItemsProcessed(static_cast<std::int64_t>(state.iterations()) *
                           static_cast<std::int64_t>(ptrs.size()));
 }
-BENCHMARK(BM_BitAddress_BulkLoad);
+BENCHMARK(BM_BitAddress_InsertBatch);
 
 void BM_AccessModules_Retune(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 11);

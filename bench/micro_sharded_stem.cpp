@@ -57,8 +57,7 @@ JoinAttributeSet jas2() { return JoinAttributeSet({0, 1}); }
 IndexConfig skewed_config() { return IndexConfig({0, 6}); }
 
 ShardedBitIndex make_index(std::size_t shards) {
-  return ShardedBitIndex(jas2(), skewed_config(), BitMapper::hashing(2),
-                         shards, /*shard_pos=*/0);
+  return ShardedBitIndex(jas2(), skewed_config(), shards, /*shard_pos=*/0);
 }
 
 /// Steady-state probe churn on a full 100k-tuple window: each iteration

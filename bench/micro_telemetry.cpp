@@ -51,7 +51,7 @@ JoinAttributeSet jas3() { return JoinAttributeSet({0, 1, 2}); }
 // be indistinguishable from BM_BitAddress_ProbeExact in micro_index_ops.
 void BM_Probe_TelemetryToggle(benchmark::State& state) {
   const auto tuples = make_tuples(kTuples, 2);
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}));
   telemetry::Telemetry telemetry;
   if (state.range(0) != 0) idx.bind_telemetry(&telemetry, "bench.index");
   for (const auto& t : tuples) idx.insert(t.get());

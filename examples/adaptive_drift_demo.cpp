@@ -58,8 +58,7 @@ double average_probe_compares(index::BitAddressIndex& idx,
 int main() {
   const auto tuples = make_state(4000);
   const index::JoinAttributeSet jas({0, 1, 2});
-  index::BitAddressIndex idx(jas, index::IndexConfig({3, 3, 2}),
-                             index::BitMapper::hashing(3));
+  index::BitAddressIndex idx(jas, index::IndexConfig({3, 3, 2}));
   for (const auto& t : tuples) idx.insert(t.get());
 
   index::WorkloadParams wp;

@@ -61,8 +61,7 @@ int main() {
   // --- Paper Figure 3: one bit-address index, IC = [A1:5 A2:2 A3:3].
   CostMeter bai_meter;
   MemoryTracker bai_mem;
-  BitAddressIndex bai(jas, IndexConfig({5, 2, 3}), BitMapper::hashing(3),
-                      &bai_meter, &bai_mem);
+  BitAddressIndex bai(jas, IndexConfig({5, 2, 3}), &bai_meter, &bai_mem);
   for (const auto& t : fleet.sensors) bai.insert(t.get());
 
   std::cout << "ingested " << fleet.sensors.size() << " sensor readings\n"

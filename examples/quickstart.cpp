@@ -21,8 +21,7 @@ int main() {
   // --- 1. A state with three join attributes (JAS positions 0,1,2 map to
   // tuple attributes 0,1,2) and an even 6-bit index configuration.
   const index::JoinAttributeSet jas({0, 1, 2});
-  index::BitAddressIndex idx(jas, index::IndexConfig({2, 2, 2}),
-                             index::BitMapper::hashing(3));
+  index::BitAddressIndex idx(jas, index::IndexConfig({2, 2, 2}));
 
   // --- 2. Store some tuples.
   std::vector<std::unique_ptr<Tuple>> tuples;

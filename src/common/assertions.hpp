@@ -3,7 +3,7 @@
 // NDEBUG-controlled assert(), these checks may be expensive — full
 // data-structure walks — so they stay out of plain Debug builds and are
 // invoked explicitly through AMRI_CHECK_INVARIANTS at structural
-// transition points (migration, bulk load, compression passes).
+// transition points (migration, window expiry, compression passes).
 //
 // check_invariants() methods themselves are always compiled and callable
 // from tests in any build; the macros only gate the hot-path call sites.

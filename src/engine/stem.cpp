@@ -22,20 +22,6 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
       memory_(memory),
       telemetry_(telemetry) {
   const std::size_t n = layout_.jas.size();
-  index::BitMapper mapper = [&] {
-    switch (options_.map_strategy) {
-      case index::MapStrategy::kRange:
-        return index::BitMapper::ranged(options_.domains);
-      case index::MapStrategy::kQuantile: {
-        auto samples = options_.quantile_samples;
-        samples.resize(n);
-        return index::BitMapper::quantile(std::move(samples));
-      }
-      case index::MapStrategy::kHash:
-      default:
-        return index::BitMapper::hashing(n);
-    }
-  }();
   switch (options_.backend) {
     case IndexBackend::kAmri:
     case IndexBackend::kStaticBitmap: {
@@ -44,8 +30,7 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
                                   : index::IndexConfig::zero(n);
       if (options_.shards > 1) {
         auto idx = std::make_unique<index::ShardedBitIndex>(
-            layout_.jas, std::move(ic), std::move(mapper), options_.shards,
-            0, meter_, memory_);
+            layout_.jas, std::move(ic), options_.shards, 0, meter_, memory_);
         sharded_index_ = idx.get();
         index_ = std::move(idx);
         if (telemetry_ != nullptr) {
@@ -55,7 +40,7 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
         }
       } else {
         auto idx = std::make_unique<index::BitAddressIndex>(
-            layout_.jas, std::move(ic), std::move(mapper), meter_, memory_);
+            layout_.jas, std::move(ic), meter_, memory_);
         bit_index_ = idx.get();
         index_ = std::move(idx);
         if (telemetry_ != nullptr) {

@@ -41,11 +41,6 @@ struct StemOptions {
   std::vector<AttrMask> initial_modules;      ///< access-module backends
   std::optional<tuner::TunerOptions> amri_tuner;       ///< kAmri
   std::optional<tuner::HashTunerOptions> module_tuner; ///< kAccessModules
-  index::MapStrategy map_strategy = index::MapStrategy::kHash;
-  std::vector<index::AttrDomain> domains;     ///< for kRange mapping
-  /// For kQuantile mapping: one value sample per JAS position (e.g. from
-  /// a warm-up trace). Empty samples fall back to hashing per attribute.
-  std::vector<std::vector<Value>> quantile_samples;
   /// Bit-address backends only: partition the state's window and index
   /// into this many shards (index::ShardedBitIndex), routed by the value
   /// of JAS position 0. 1 keeps the plain single index; the module/scan

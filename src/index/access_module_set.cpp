@@ -73,12 +73,6 @@ std::string AccessModuleSet::name() const {
   return "access_modules(x" + std::to_string(modules_.size()) + ")";
 }
 
-void AccessModuleSet::clear() {
-  scan_.clear();
-  for (const auto& m : modules_) m->clear();
-  scan_fallbacks_ = 0;
-}
-
 void AccessModuleSet::retune(const std::vector<AttrMask>& new_masks) {
   // Keep modules whose mask survives; build the others from scratch.
   // Rebuilding hashes every stored tuple — the adaptation cost the paper

@@ -41,7 +41,6 @@ class AccessModuleSet final : public TupleIndex {
   std::size_t size() const override { return scan_.size(); }
   std::size_t memory_bytes() const override;
   std::string name() const override;
-  void clear() override;
 
   /// Count of probes answered by full scan (no suitable module).
   std::uint64_t scan_fallbacks() const { return scan_fallbacks_; }

@@ -63,47 +63,6 @@ struct ProbeKey {
   }
 };
 
-/// An inclusive value interval used by range probes (the paper's §II join
-/// expressions <, >, >=, <=). Equality is the degenerate case lo == hi.
-struct RangeBound {
-  Value lo = 0;
-  Value hi = 0;
-
-  bool contains(Value v) const { return v >= lo && v <= hi; }
-};
-
-/// A range probe: per JAS position an optional interval constraint.
-/// Unconstrained positions are wildcards.
-struct RangeProbeKey {
-  SmallVector<Value, kInlineAttrs> los;     ///< parallel arrays; slot valid
-  SmallVector<Value, kInlineAttrs> his;     ///< iff mask bit is set
-  AttrMask mask = 0;
-
-  void bind(std::size_t pos, Value lo, Value hi) {
-    if (los.size() <= pos) {
-      los.resize(pos + 1, Value{0});
-      his.resize(pos + 1, Value{0});
-    }
-    los[pos] = lo;
-    his[pos] = hi;
-    mask |= (AttrMask{1} << pos);
-  }
-
-  bool bound(std::size_t pos) const {
-    return has_bit(mask, static_cast<unsigned>(pos));
-  }
-
-  /// True iff `t` satisfies every bound interval.
-  bool matches(const Tuple& t, const JoinAttributeSet& jas) const {
-    bool ok = true;
-    for_each_bit(mask, [&](unsigned pos) {
-      const Value v = t.at(jas.tuple_attr(pos));
-      if (v < los[pos] || v > his[pos]) ok = false;
-    });
-    return ok;
-  }
-};
-
 /// Render a mask as the paper's vector notation, e.g. <A,*,C> for
 /// mask=0b101 with names {A,B,C}. Names default to A,B,C,... when omitted.
 std::string pattern_to_string(AttrMask mask, std::size_t num_attrs,

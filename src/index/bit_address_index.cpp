@@ -10,17 +10,14 @@
 namespace amri::index {
 
 BitAddressIndex::BitAddressIndex(JoinAttributeSet jas, IndexConfig config,
-                                 BitMapper mapper, CostMeter* meter,
-                                 MemoryTracker* memory)
+                                 CostMeter* meter, MemoryTracker* memory)
     : jas_(std::move(jas)),
       config_(std::move(config)),
-      mapper_(std::move(mapper)),
       meter_(meter),
       memory_(memory),
       sig_width_(
           64 / static_cast<int>(std::max<std::size_t>(jas_.size(), 1))) {
   assert(config_.num_attrs() == jas_.size());
-  assert(mapper_.num_attrs() == jas_.size());
   assert(jas_.size() <= 32);
 }
 
@@ -56,7 +53,7 @@ BucketId BitAddressIndex::bucket_of_uncharged(const Tuple& t) const {
   for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
     const int bits = config_.bits(pos);
     if (bits == 0) continue;
-    id |= mapper_.map(pos, t.at(jas_.tuple_attr(pos)), bits)
+    id |= value_bits(pos, t.at(jas_.tuple_attr(pos)), bits)
           << config_.shift_of(pos);
   }
   return id;
@@ -68,7 +65,7 @@ BucketId BitAddressIndex::bucket_of(const Tuple& t) {
     const int bits = config_.bits(pos);
     if (bits == 0) continue;
     const std::uint64_t chunk =
-        mapper_.map(pos, t.at(jas_.tuple_attr(pos)), bits);
+        value_bits(pos, t.at(jas_.tuple_attr(pos)), bits);
     id |= chunk << config_.shift_of(pos);
     if (meter_ != nullptr) meter_->charge_hash();
   }
@@ -125,8 +122,8 @@ void BitAddressIndex::erase(const Tuple* t) {
 
 void BitAddressIndex::insert_batch(const Tuple* const* tuples,
                                    std::size_t n) {
-  // Bucket ids are computed uncharged (the mapper is pure — the bulk_load()
-  // precedent); the batch's hashes and inserts are charged once below.
+  // Bucket ids are computed uncharged (value_bits is pure); the batch's
+  // hashes and inserts are charged once below.
   for (std::size_t i = 0; i < n; ++i) {
     const std::size_t chain = buckets_.insert(
         bucket_of_uncharged(*tuples[i]), tuples[i], tuple_tag(*tuples[i]));
@@ -165,7 +162,7 @@ BitAddressIndex::ProbeLayout BitAddressIndex::layout_for(const ProbeKey& key) {
     const int bits = config_.bits(pos);
     if (bits == 0) continue;
     if (has_bit(key.mask, static_cast<unsigned>(pos))) {
-      const std::uint64_t chunk = mapper_.map(pos, key.values[pos], bits);
+      const std::uint64_t chunk = value_bits(pos, key.values[pos], bits);
       layout.fixed |= chunk << config_.shift_of(pos);
       layout.fixed_mask |= low_bits64(bits) << config_.shift_of(pos);
       if (meter_ != nullptr) meter_->charge_hash();  // N_{A,ap} · C_h
@@ -238,97 +235,6 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
   return stats;
 }
 
-ProbeStats BitAddressIndex::probe_range(const RangeProbeKey& key,
-                                        std::vector<const Tuple*>& out) {
-  ProbeStats stats;
-  // Per indexed attribute: the inclusive chunk interval its bucket-id bits
-  // may take. Unbound attributes — and hash-mapped attributes with a
-  // non-degenerate interval — span their whole chunk space.
-  struct ChunkRange {
-    std::uint64_t lo = 0;
-    std::uint64_t hi = 0;
-    int shift = 0;
-  };
-  SmallVector<ChunkRange, kInlineAttrs> ranges;
-  __uint128_t combinations = 1;
-  for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-    const int bits = config_.bits(pos);
-    if (bits == 0) continue;
-    ChunkRange cr;
-    cr.shift = config_.shift_of(pos);
-    cr.hi = low_bits64(bits);
-    if (key.bound(pos)) {
-      const bool degenerate = key.los[pos] == key.his[pos];
-      if (mapper_.order_preserving(pos)) {
-        cr.lo = mapper_.map(pos, key.los[pos], bits);
-        cr.hi = mapper_.map(pos, key.his[pos], bits);
-        if (meter_ != nullptr) meter_->charge_hash(2);
-      } else if (degenerate) {
-        cr.lo = cr.hi = mapper_.map(pos, key.los[pos], bits);
-        if (meter_ != nullptr) meter_->charge_hash();
-      }
-      // hash mapper + real interval: keep the full chunk span.
-    }
-    combinations *= (cr.hi - cr.lo + 1);
-    ranges.push_back(cr);
-  }
-
-  auto scan_bucket = [&](const Bucket& bucket) {
-    stats.tuples_compared += bucket.size();
-    for (const BucketEntry& e : bucket) {
-      if (key.matches(*e.tuple, jas_)) {
-        out.push_back(e.tuple);
-        ++stats.matches;
-      }
-    }
-  };
-
-  if (combinations <= buckets_.size()) {
-    // Odometer over the per-attribute chunk ranges.
-    SmallVector<std::uint64_t, kInlineAttrs> current;
-    for (const ChunkRange& cr : ranges) current.push_back(cr.lo);
-    while (true) {
-      BucketId id = 0;
-      for (std::size_t i = 0; i < ranges.size(); ++i) {
-        id |= current[i] << ranges[i].shift;
-      }
-      ++stats.buckets_visited;
-      const Bucket* bucket = buckets_.find(id);
-      if (bucket != nullptr) scan_bucket(*bucket);
-      // Advance the odometer; when every digit wraps, we are done.
-      std::size_t i = 0;
-      for (; i < ranges.size(); ++i) {
-        if (current[i] < ranges[i].hi) {
-          ++current[i];
-          break;
-        }
-        current[i] = ranges[i].lo;
-      }
-      if (i == ranges.size()) break;
-    }
-  } else {
-    // Cheaper to filter the directory: extract each indexed attribute's
-    // chunk from the bucket id and test it against the chunk range.
-    buckets_.for_each([&](BucketId id, const Bucket& bucket) {
-      for (std::size_t pos = 0, r = 0; pos < config_.num_attrs(); ++pos) {
-        const int bits = config_.bits(pos);
-        if (bits == 0) continue;
-        const std::uint64_t chunk =
-            (id >> config_.shift_of(pos)) & low_bits64(bits);
-        if (chunk < ranges[r].lo || chunk > ranges[r].hi) return;
-        ++r;
-      }
-      ++stats.buckets_visited;
-      scan_bucket(bucket);
-    });
-  }
-  if (meter_ != nullptr) {
-    meter_->charge_bucket_visit(stats.buckets_visited);
-    meter_->charge_compare(stats.tuples_compared);
-  }
-  return stats;
-}
-
 BitAddressIndex::OccupancyStats BitAddressIndex::occupancy() const {
   OccupancyStats stats;
   stats.occupied = buckets_.size();
@@ -362,43 +268,6 @@ std::size_t BitAddressIndex::memory_bytes() const {
 
 std::string BitAddressIndex::name() const {
   return "bit_address" + config_.to_string();
-}
-
-void BitAddressIndex::clear() {
-  buckets_.clear();
-  size_ = 0;
-  if (memory_ != nullptr && tracked_bytes_ > 0) {
-    memory_->release(MemCategory::kIndexStructure, tracked_bytes_);
-  }
-  tracked_bytes_ = 0;
-}
-
-void BitAddressIndex::bulk_load(const std::vector<const Tuple*>& tuples) {
-  // Bucket ids come from an uncharged computation identical to
-  // bucket_of(); the modelled cost is charged once below.
-  for (const Tuple* t : tuples) {
-    buckets_.insert(bucket_of_uncharged(*t), t, tuple_tag(*t));
-  }
-  size_ += tuples.size();
-  if (meter_ != nullptr) {
-    meter_->charge_hash(tuples.size() *
-                        static_cast<std::uint64_t>(config_.indexed_attr_count()));
-    meter_->charge_insert(tuples.size());
-  }
-  // Feed the same instruments insert() feeds: final chain length once per
-  // occupied bucket, and a fresh occupancy-imbalance reading. Without this
-  // a bulk-loaded stem reported an empty chain_len histogram and a stale
-  // imbalance gauge.
-  if (chain_hist_ != nullptr) {
-    buckets_.for_each([&](BucketId, const Bucket& bucket) {
-      chain_hist_->observe(static_cast<double>(bucket.size()));
-    });
-  }
-  if (imbalance_gauge_ != nullptr) {
-    imbalance_gauge_->set(occupancy().imbalance);
-  }
-  sync_memory();
-  AMRI_CHECK_INVARIANTS(*this);
 }
 
 void BitAddressIndex::check_invariants() const {

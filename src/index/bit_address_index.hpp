@@ -17,11 +17,11 @@
 // memory tracks only occupied slots, and small buckets stay heap-free.
 #pragma once
 
+#include <cassert>
 #include <cstdint>
 #include <memory>
 #include <vector>
 
-#include "index/bit_mapper.hpp"
 #include "index/bucket_directory.hpp"
 #include "index/index_config.hpp"
 #include "index/tuple_index.hpp"
@@ -29,11 +29,29 @@
 
 namespace amri::index {
 
+/// The `bits`-bit chunk that value `v` of JAS position `pos` contributes to
+/// a bucket id (0 when `bits` is 0): the value plus a per-position salt, so
+/// equal values in different positions land in different cells, mixed by
+/// the murmur3 fmix64 finalizer, then its top `bits` bits. Changing it
+/// moves every bucket id, and with them compares and charged cost.
+inline std::uint64_t value_bits(std::size_t pos, Value v, int bits) {
+  assert(bits >= 0 && bits <= 63);
+  if (bits == 0) return 0;
+  const std::uint64_t salt = 0x9e3779b97f4a7c15ULL * (pos + 1);
+  std::uint64_t h = static_cast<std::uint64_t>(v) + salt;
+  h ^= h >> 33;
+  h *= 0xff51afd7ed558ccdULL;
+  h ^= h >> 33;
+  h *= 0xc4ceb9fe1a85ec53ULL;
+  h ^= h >> 33;
+  return h >> (64 - bits);
+}
+
 class BitAddressIndex final : public TupleIndex {
  public:
   /// `jas` maps JAS positions to tuple attribute ids; `config.num_attrs()`
   /// must equal `jas.size()`. `meter`/`memory` may be null (uncharged).
-  BitAddressIndex(JoinAttributeSet jas, IndexConfig config, BitMapper mapper,
+  BitAddressIndex(JoinAttributeSet jas, IndexConfig config,
                   CostMeter* meter = nullptr, MemoryTracker* memory = nullptr);
 
   ~BitAddressIndex() override;
@@ -43,7 +61,6 @@ class BitAddressIndex final : public TupleIndex {
 
   const IndexConfig& config() const { return config_; }
   const JoinAttributeSet& jas() const { return jas_; }
-  const BitMapper& mapper() const { return mapper_; }
 
   /// Bucket id of a stored tuple under the current IC. Charges one hash per
   /// indexed attribute (the paper's N_A · C_h insert-side hashing).
@@ -63,18 +80,9 @@ class BitAddressIndex final : public TupleIndex {
   void erase_batch(const Tuple* const* tuples, std::size_t n);
   ProbeStats probe(const ProbeKey& key, std::vector<const Tuple*>& out) override;
 
-  /// Range probe (paper §II: join expressions may be <, >, >=, <=): each
-  /// bound attribute carries an inclusive interval. Under the *range*
-  /// mapper an interval maps to a contiguous run of bucket cells; under
-  /// the *hash* mapper a non-degenerate interval gives no bucket pruning
-  /// (the attribute's bits become wildcards) but is still verified.
-  ProbeStats probe_range(const RangeProbeKey& key,
-                         std::vector<const Tuple*>& out);
-
   std::size_t size() const override { return size_; }
   std::size_t memory_bytes() const override;
   std::string name() const override;
-  void clear() override;
 
   /// Number of occupied buckets (sparse directory size).
   std::size_t occupied_buckets() const { return buckets_.size(); }
@@ -116,11 +124,6 @@ class BitAddressIndex final : public TupleIndex {
   /// charge after the rebuild.
   void reconfigure(const IndexConfig& new_config);
 
-  /// Insert many tuples at once, with the same result as sequential
-  /// insert() calls. Charges the same modelled cost (N_A hashes + one
-  /// insert per tuple).
-  void bulk_load(const std::vector<const Tuple*>& tuples);
-
   /// Deep structural validation: directory/count consistency, every stored
   /// tuple rehashes to its bucket, bucket ids fit in total_bits, and the
   /// memory-tracker bookkeeping matches. Aborts with a diagnostic on the
@@ -145,7 +148,7 @@ class BitAddressIndex final : public TupleIndex {
 
   ProbeLayout layout_for(const ProbeKey& key);
   /// bucket_of without meter charges (invariants, and the batched
-  /// insert/erase, bulk load and reconfigure, which charge once per call).
+  /// insert/erase and reconfigure, which charge once per call).
   BucketId bucket_of_uncharged(const Tuple& t) const;
   /// Value signature of JAS position `pos` holding `v`: the top
   /// sig_width_ bits of mix64(v), shifted to the position's chunk at
@@ -161,7 +164,6 @@ class BitAddressIndex final : public TupleIndex {
 
   JoinAttributeSet jas_;
   IndexConfig config_;
-  BitMapper mapper_;
   CostMeter* meter_;
   MemoryTracker* memory_;
   /// Signature bits per JAS position: floor(64 / |JAS|), all 64 for a

@@ -204,7 +204,7 @@ class BucketDirectory {
     return cap - cap / 8;
   }
 
-  /// Bucket ids are bit-concatenations of mapper chunks, so low bits alone
+  /// Bucket ids are bit-concatenations of value_bits chunks, so low bits alone
   /// cluster badly under a power-of-two mask: mix them first.
   std::size_t home_slot(BucketId key) const {
     return mix64(key) & (slots_.size() - 1);

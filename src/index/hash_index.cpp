@@ -128,13 +128,4 @@ std::string HashIndex::name() const {
   return "hash" + pattern_to_string(key_mask_, jas_.size());
 }
 
-void HashIndex::clear() {
-  table_.clear();
-  size_ = 0;
-  if (memory_ != nullptr && tracked_bytes_ > 0) {
-    memory_->release(MemCategory::kIndexStructure, tracked_bytes_);
-  }
-  tracked_bytes_ = 0;
-}
-
 }  // namespace amri::index

@@ -47,7 +47,6 @@ class HashIndex final : public TupleIndex {
   std::size_t size() const override { return size_; }
   std::size_t memory_bytes() const override;
   std::string name() const override;
-  void clear() override;
 
  private:
   /// Hash of the key attributes; callers charge key_hashes() per key.

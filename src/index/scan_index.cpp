@@ -61,10 +61,4 @@ ProbeStats ScanIndex::probe(const ProbeKey& key,
   return stats;
 }
 
-void ScanIndex::clear() {
-  tuples_.clear();
-  tuples_.shrink_to_fit();
-  sync_memory();
-}
-
 }  // namespace amri::index

@@ -28,7 +28,6 @@ class ScanIndex final : public TupleIndex {
     return tuples_.capacity() * sizeof(const Tuple*);
   }
   std::string name() const override { return "scan"; }
-  void clear() override;
 
  private:
   void sync_memory();

@@ -11,9 +11,8 @@
 namespace amri::index {
 
 ShardedBitIndex::ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
-                                 BitMapper mapper, std::size_t shards,
-                                 std::size_t shard_pos, CostMeter* meter,
-                                 MemoryTracker* memory)
+                                 std::size_t shards, std::size_t shard_pos,
+                                 CostMeter* meter, MemoryTracker* memory)
     : jas_(std::move(jas)),
       config_(std::move(config)),
       shard_pos_(shard_pos),
@@ -23,14 +22,14 @@ ShardedBitIndex::ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
              "sharding position outside the join attribute set");
   shards_.reserve(shards);
   for (std::size_t i = 0; i < shards; ++i) {
-    shards_.push_back(std::make_unique<Shard>(jas_, config_, mapper, memory));
+    shards_.push_back(std::make_unique<Shard>(jas_, config_, memory));
   }
 }
 
 std::size_t ShardedBitIndex::shard_of_value(Value v) const {
   // The shard route must be a stable function of the sharding attribute's
-  // value alone, independent of the BitMapper (which reconfiguration
-  // retrains), so migrations never move tuples across shards.
+  // value alone, independent of the IC's bit allocation, so migrations
+  // never move tuples across shards.
   if (shards_.size() == 1) return 0;
   return static_cast<std::size_t>(mix64(static_cast<std::uint64_t>(v)) %
                                   shards_.size());
@@ -216,15 +215,6 @@ std::size_t ShardedBitIndex::memory_bytes() const {
 std::string ShardedBitIndex::name() const {
   return "bit_address" + config_.to_string() + "x" +
          std::to_string(shards_.size());
-}
-
-void ShardedBitIndex::clear() {
-  for (auto& sp : shards_) {
-    MutexLock lk(sp->mu);
-    sp->index.clear();
-    if (sp->size_gauge != nullptr) sp->size_gauge->set(0.0);
-  }
-  size_ = 0;
 }
 
 ShardBalance ShardedBitIndex::balance() const {

@@ -57,7 +57,7 @@ class ShardedBitIndex final : public TupleIndex {
   /// a tuple between shards). `meter` / `memory` may be null; the shards
   /// themselves are always constructed uncharged and the wrapper accounts
   /// on the calling thread.
-  ShardedBitIndex(JoinAttributeSet jas, IndexConfig config, BitMapper mapper,
+  ShardedBitIndex(JoinAttributeSet jas, IndexConfig config,
                   std::size_t shards, std::size_t shard_pos = 0,
                   CostMeter* meter = nullptr, MemoryTracker* memory = nullptr);
 
@@ -68,7 +68,6 @@ class ShardedBitIndex final : public TupleIndex {
   std::size_t size() const override { return size_; }
   std::size_t memory_bytes() const override;
   std::string name() const override;
-  void clear() override;
 
   const IndexConfig& config() const { return config_; }
   const JoinAttributeSet& jas() const { return jas_; }
@@ -120,8 +119,8 @@ class ShardedBitIndex final : public TupleIndex {
     telemetry::Gauge* size_gauge = nullptr;
 
     Shard(const JoinAttributeSet& jas, const IndexConfig& config,
-          const BitMapper& mapper, MemoryTracker* memory)
-        : index(jas, config, mapper, /*meter=*/nullptr, memory) {}
+          MemoryTracker* memory)
+        : index(jas, config, /*meter=*/nullptr, memory) {}
   };
 
   std::size_t shard_of_value(Value v) const;

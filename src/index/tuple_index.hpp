@@ -57,9 +57,6 @@ class TupleIndex {
   virtual std::size_t memory_bytes() const = 0;
 
   virtual std::string name() const = 0;
-
-  /// Remove all entries (without touching the tuples).
-  virtual void clear() = 0;
 };
 
 }  // namespace amri::index

@@ -1,6 +1,5 @@
 #include "telemetry/export.hpp"
 
-#include <cctype>
 #include <fstream>
 #include <ostream>
 
@@ -9,14 +8,6 @@
 namespace amri::telemetry {
 
 namespace {
-
-std::string sanitise(std::string_view name) {
-  std::string out = "amri_";
-  for (const char c : name) {
-    out += std::isalnum(static_cast<unsigned char>(c)) != 0 ? c : '_';
-  }
-  return out;
-}
 
 void histogram_json(JsonWriter& w, const Histogram& h) {
   w.field("count", h.count());
@@ -56,8 +47,7 @@ std::string event_to_json(const Event& e) {
   return std::move(w).take();
 }
 
-void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry,
-                       const TraceWriteOptions& options) {
+void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry) {
   const EventLog& log = telemetry.events();
   {
     JsonWriter w;
@@ -74,7 +64,6 @@ void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry,
   for (const Event& e : log.snapshot()) {
     os << event_to_json(e) << '\n';
   }
-  if (!options.include_metrics) return;
   const TimeMicros t_end = telemetry.now();
   const MetricsRegistry& reg = telemetry.metrics();
   for (const auto& [name, c] : reg.counters()) {
@@ -112,76 +101,11 @@ void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry,
   }
 }
 
-bool write_trace_file(const std::string& path, const Telemetry& telemetry,
-                      const TraceWriteOptions& options) {
+bool write_trace_file(const std::string& path, const Telemetry& telemetry) {
   std::ofstream out(path);
   if (!out) return false;
-  write_trace_jsonl(out, telemetry, options);
+  write_trace_jsonl(out, telemetry);
   return static_cast<bool>(out);
-}
-
-void write_metrics_text(std::ostream& os, const MetricsRegistry& registry) {
-  // HELP text is the original dotted name: it survives sanitisation, so a
-  // scrape can always be mapped back to the registry identifier.
-  for (const auto& [name, c] : registry.counters()) {
-    const std::string id = sanitise(name);
-    os << "# HELP " << id << ' ' << name << '\n';
-    os << "# TYPE " << id << " counter\n" << id << ' ' << c.value() << '\n';
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    const std::string id = sanitise(name);
-    os << "# HELP " << id << ' ' << name << '\n';
-    os << "# TYPE " << id << " gauge\n"
-       << id << ' ' << json_number(g.value()) << '\n';
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    const std::string id = sanitise(name);
-    os << "# HELP " << id << ' ' << name << '\n';
-    os << "# TYPE " << id << " histogram\n";
-    std::uint64_t cumulative = 0;
-    const auto& bounds = h.bounds();
-    const auto& buckets = h.bucket_counts();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      cumulative += buckets[i];
-      os << id << "_bucket{le=\"";
-      if (i < bounds.size()) {
-        os << json_number(bounds[i]);
-      } else {
-        os << "+Inf";
-      }
-      os << "\"} " << cumulative << '\n';
-    }
-    os << id << "_sum " << json_number(h.sum()) << '\n';
-    os << id << "_count " << h.count() << '\n';
-  }
-}
-
-void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry) {
-  os << "metric,kind,field,value\n";
-  // Metric names are dot/alnum identifiers chosen by this codebase — no
-  // commas or quotes — so plain comma joining is CSV-safe here.
-  for (const auto& [name, c] : registry.counters()) {
-    os << name << ",counter,value," << c.value() << '\n';
-  }
-  for (const auto& [name, g] : registry.gauges()) {
-    os << name << ",gauge,value," << json_number(g.value()) << '\n';
-  }
-  for (const auto& [name, h] : registry.histograms()) {
-    os << name << ",histogram,count," << h.count() << '\n';
-    os << name << ",histogram,sum," << json_number(h.sum()) << '\n';
-    os << name << ",histogram,mean," << json_number(h.mean()) << '\n';
-    const auto& bounds = h.bounds();
-    const auto& buckets = h.bucket_counts();
-    for (std::size_t i = 0; i < buckets.size(); ++i) {
-      os << name << ",histogram,le_";
-      if (i < bounds.size()) {
-        os << json_number(bounds[i]);
-      } else {
-        os << "inf";
-      }
-      os << ',' << buckets[i] << '\n';
-    }
-  }
 }
 
 }  // namespace amri::telemetry

@@ -1,8 +1,7 @@
-// Trace and metric exporters (the style of bench/bench_util.hpp's CSV
-// helpers): a hand-rolled JSON-lines run-trace writer, a Prometheus-style
-// plain-text metrics dump, and a CSV metrics dump. All exporters are
-// deterministic — events in emission order, metrics sorted by name — so
-// two run traces can be diffed line by line to localise a regression.
+// The run-trace exporter: a hand-rolled JSON-lines writer of the events and
+// the final metrics. It is deterministic — events in emission order,
+// metrics sorted by name — so two run traces can be diffed line by line to
+// localise a regression.
 #pragma once
 
 #include <iosfwd>
@@ -12,30 +11,14 @@
 
 namespace amri::telemetry {
 
-struct TraceWriteOptions {
-  bool include_metrics = true;  ///< append metric lines after the events
-};
-
 /// JSON-lines run trace: one header line, one line per retained event
-/// (time-ordered), then — when requested — one line per metric carrying
-/// the final registry state. Every line is a standalone JSON object.
-void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry,
-                       const TraceWriteOptions& options = {});
+/// (time-ordered), then one line per metric carrying the final registry
+/// state. Every line is a standalone JSON object.
+void write_trace_jsonl(std::ostream& os, const Telemetry& telemetry);
 
 /// Convenience: write_trace_jsonl to `path`; returns false when the file
 /// cannot be opened.
-bool write_trace_file(const std::string& path, const Telemetry& telemetry,
-                      const TraceWriteOptions& options = {});
-
-/// Prometheus-style text exposition ("# TYPE name kind" then samples;
-/// histograms expand into cumulative _bucket/_sum/_count series). Metric
-/// names are sanitised ('.' and other non-identifier characters become
-/// '_') and prefixed "amri_".
-void write_metrics_text(std::ostream& os, const MetricsRegistry& registry);
-
-/// CSV dump: metric,kind,field,value — one row per scalar, histograms
-/// flattened into count/sum/mean plus one row per bucket.
-void write_metrics_csv(std::ostream& os, const MetricsRegistry& registry);
+bool write_trace_file(const std::string& path, const Telemetry& telemetry);
 
 /// One event rendered as a standalone JSON object (the trace line format,
 /// minus the trailing newline). Exposed for tests and streaming sinks.

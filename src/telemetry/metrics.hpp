@@ -50,9 +50,8 @@ class Gauge {
   std::atomic<double> value_{0.0};
 };
 
-/// Fixed-bucket histogram with cumulative-on-export semantics (Prometheus
-/// style): bucket i holds observations v <= bounds[i] and > bounds[i-1];
-/// one implicit +inf overflow bucket follows the last bound.
+/// Fixed-bucket histogram: bucket i holds observations v <= bounds[i] and
+/// > bounds[i-1]; one implicit +inf overflow bucket follows the last bound.
 class Histogram {
  public:
   explicit Histogram(std::vector<double> upper_bounds);

@@ -7,7 +7,7 @@
 // time spent inside any scope. Per-scope *inclusive* durations feed a
 // registry histogram per phase (`profile.<phase>.scope_us`) for
 // p50/p95/p99; exclusive totals mirror into `profile.<phase>.exclusive_us`
-// gauges so both flow through the JSONL/Prometheus exporters unchanged.
+// gauges so both flow through the JSONL trace exporter unchanged.
 //
 // Thread safety: none — the profiler tracks one scope stack and must only
 // be driven from the executor's driver thread, the only thread the engine

@@ -29,8 +29,7 @@ TEST(ShardedStress, ProbesRaceMigrationAndExpiry) {
   // Null meter / memory: the cost meter is single-threaded by design, and
   // concurrent probers would race on it — the engine only meters probes
   // issued from its one driver thread.
-  ShardedBitIndex idx(jas, IndexConfig({2, 2, 1}), BitMapper::hashing(3),
-                      kShards, /*shard_pos=*/0);
+  ShardedBitIndex idx(jas, IndexConfig({2, 2, 1}), kShards, /*shard_pos=*/0);
   const IndexMigrator migrator;
 
   // The writer cycles through the pool FIFO, so a tuple is reused only

@@ -154,35 +154,6 @@ TEST(StemOperator, ScanBackendHasNoTuner) {
   EXPECT_EQ(stem.probes_served(), 200u);
 }
 
-TEST(StemOperator, QuantileMapperBackend) {
-  const QuerySpec q = query4();
-  StemOptions o = amri_options();
-  o.map_strategy = index::MapStrategy::kQuantile;
-  // Skewed sample for JAS position 0 only; others fall back to hashing.
-  std::vector<Value> sample;
-  for (int i = 0; i < 1000; ++i) sample.push_back(i % 10 == 0 ? i : 0);
-  o.quantile_samples = {sample};
-  StemOperator stem(0, q.layout(0), q.window(), o, model());
-  for (int i = 0; i < 100; ++i) {
-    stem.insert(arrival(0, i, {i % 7, i % 5, i % 3}));
-  }
-  index::ProbeKey k;
-  k.mask = 0b111;
-  k.values = {3, 3, 0};
-  std::vector<const Tuple*> out;
-  stem.probe(k, out);
-  for (const Tuple* t : out) {
-    EXPECT_EQ(t->at(0), 3);
-    EXPECT_EQ(t->at(1), 3);
-    EXPECT_EQ(t->at(2), 0);
-  }
-  std::size_t expected = 0;
-  for (int i = 0; i < 100; ++i) {
-    if (i % 7 == 3 && i % 5 == 3 && i % 3 == 0) ++expected;
-  }
-  EXPECT_EQ(out.size(), expected);
-}
-
 TEST(StemOperator, MemoryAccountsTuplesAndIndex) {
   const QuerySpec q = query4();
   MemoryTracker mem;

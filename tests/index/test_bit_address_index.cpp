@@ -20,8 +20,7 @@ ProbeKey key_for(AttrMask mask, std::initializer_list<Value> vals) {
 }
 
 TEST(BitAddressIndex, InsertProbeExactPattern) {
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}));
   const Tuple t1 = testutil::make_tuple({1, 2, 3}, 1);
   const Tuple t2 = testutil::make_tuple({1, 2, 4}, 2);
   idx.insert(&t1);
@@ -38,8 +37,7 @@ TEST(BitAddressIndex, InsertProbeExactPattern) {
 }
 
 TEST(BitAddressIndex, WildcardProbeEnumeratesBuckets) {
-  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}));
   testutil::TuplePool pool(200, 3, 50, 9);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
 
@@ -60,8 +58,7 @@ TEST(BitAddressIndex, WildcardProbeEnumeratesBuckets) {
 
 TEST(BitAddressIndex, UnindexedAttributeVerifiedByComparison) {
   // Attribute 2 has no bits: probes binding it still verify via compare.
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}));
   const Tuple a = testutil::make_tuple({1, 2, 3}, 1);
   const Tuple b = testutil::make_tuple({1, 2, 4}, 2);
   idx.insert(&a);
@@ -73,8 +70,7 @@ TEST(BitAddressIndex, UnindexedAttributeVerifiedByComparison) {
 }
 
 TEST(BitAddressIndex, EraseRemovesTuple) {
-  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}));
   const Tuple t = testutil::make_tuple({9, 9, 9}, 1);
   idx.insert(&t);
   idx.erase(&t);
@@ -85,16 +81,14 @@ TEST(BitAddressIndex, EraseRemovesTuple) {
 }
 
 TEST(BitAddressIndex, EraseMissingIsNoop) {
-  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}));
   const Tuple t = testutil::make_tuple({1, 1, 1});
   idx.erase(&t);
   EXPECT_EQ(idx.size(), 0u);
 }
 
 TEST(BitAddressIndex, DuplicateValuesCoexist) {
-  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}),
-                      BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({2, 2, 2}));
   const Tuple t1 = testutil::make_tuple({5, 5, 5}, 1);
   const Tuple t2 = testutil::make_tuple({5, 5, 5}, 2);
   idx.insert(&t1);
@@ -110,7 +104,7 @@ TEST(BitAddressIndex, DuplicateValuesCoexist) {
 }
 
 TEST(BitAddressIndex, ZeroBitConfigActsAsScan) {
-  BitAddressIndex idx(jas3(), IndexConfig::zero(3), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig::zero(3));
   testutil::TuplePool pool(50, 3, 10, 2);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   EXPECT_EQ(idx.occupied_buckets(), 1u);  // everything in bucket 0
@@ -122,8 +116,7 @@ TEST(BitAddressIndex, ZeroBitConfigActsAsScan) {
 
 TEST(BitAddressIndex, ChargesHashesToMeter) {
   CostMeter meter;
-  BitAddressIndex idx(jas3(), IndexConfig({4, 0, 4}), BitMapper::hashing(3),
-                      &meter);
+  BitAddressIndex idx(jas3(), IndexConfig({4, 0, 4}), &meter);
   const Tuple t = testutil::make_tuple({1, 2, 3});
   idx.insert(&t);
   // Two indexed attributes -> two hash charges (N_A · C_h).
@@ -133,8 +126,7 @@ TEST(BitAddressIndex, ChargesHashesToMeter) {
 
 TEST(BitAddressIndex, ChargesProbeHashesOnlyForBoundIndexedAttrs) {
   CostMeter meter;
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}), BitMapper::hashing(3),
-                      &meter);
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}), &meter);
   std::vector<const Tuple*> out;
   meter.reset_counts();
   // Bind attrs 0 and 2; only attr 0 is indexed -> exactly 1 hash.
@@ -146,8 +138,7 @@ TEST(BitAddressIndex, TracksMemory) {
   MemoryTracker mem;
   testutil::TuplePool pool(100, 3, 1000, 5);
   {
-    BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}),
-                        BitMapper::hashing(3), nullptr, &mem);
+    BitAddressIndex idx(jas3(), IndexConfig({4, 4, 4}), nullptr, &mem);
     for (const Tuple* t : pool.pointers()) idx.insert(t);
     EXPECT_GT(mem.category(MemCategory::kIndexStructure), 0u);
   }
@@ -156,7 +147,7 @@ TEST(BitAddressIndex, TracksMemory) {
 }
 
 TEST(BitAddressIndex, ReconfigurePreservesTupleSet) {
-  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}));
   testutil::TuplePool pool(300, 3, 20, 11);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   idx.reconfigure(IndexConfig({2, 2, 2}));
@@ -172,8 +163,7 @@ TEST(BitAddressIndex, ReconfigurePreservesTupleSet) {
 
 TEST(BitAddressIndex, ReconfigureChargesRehash) {
   CostMeter meter;
-  BitAddressIndex idx(jas3(), IndexConfig({4, 0, 0}), BitMapper::hashing(3),
-                      &meter);
+  BitAddressIndex idx(jas3(), IndexConfig({4, 0, 0}), &meter);
   testutil::TuplePool pool(10, 3, 100, 3);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   meter.reset_counts();
@@ -182,18 +172,8 @@ TEST(BitAddressIndex, ReconfigureChargesRehash) {
   EXPECT_EQ(meter.hashes(), 30u);
 }
 
-TEST(BitAddressIndex, RangeMapperGroupsNeighbors) {
-  BitAddressIndex idx(JoinAttributeSet({0}), IndexConfig({2}),
-                      BitMapper::ranged({{0, 15}}));
-  std::vector<Tuple> tuples;
-  tuples.reserve(16);
-  for (Value v = 0; v < 16; ++v) tuples.push_back(testutil::make_tuple({v}));
-  for (const Tuple& t : tuples) idx.insert(&t);
-  EXPECT_EQ(idx.occupied_buckets(), 4u);  // 4 equi-width cells
-}
-
 TEST(BitAddressIndex, ForEachTupleVisitsAll) {
-  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}));
   testutil::TuplePool pool(64, 3, 8, 21);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   std::size_t visited = 0;
@@ -201,20 +181,8 @@ TEST(BitAddressIndex, ForEachTupleVisitsAll) {
   EXPECT_EQ(visited, 64u);
 }
 
-TEST(BitAddressIndex, ClearEmptiesAndReleasesMemory) {
-  MemoryTracker mem;
-  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}), BitMapper::hashing(3),
-                      nullptr, &mem);
-  testutil::TuplePool pool(32, 3, 8, 22);
-  for (const Tuple* t : pool.pointers()) idx.insert(t);
-  idx.clear();
-  EXPECT_EQ(idx.size(), 0u);
-  EXPECT_EQ(idx.occupied_buckets(), 0u);
-  EXPECT_EQ(mem.category(MemCategory::kIndexStructure), 0u);
-}
-
 TEST(BitAddressIndex, InvariantsHoldAcrossMutations) {
-  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 0}));
   testutil::TuplePool pool(300, 3, 16, 77);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   idx.check_invariants();
@@ -222,8 +190,112 @@ TEST(BitAddressIndex, InvariantsHoldAcrossMutations) {
   idx.check_invariants();
   for (std::size_t i = 0; i < 150; ++i) idx.erase(pool.at(i));
   idx.check_invariants();
-  idx.clear();
+  for (std::size_t i = 150; i < 300; ++i) idx.erase(pool.at(i));
+  EXPECT_EQ(idx.size(), 0u);
+  EXPECT_EQ(idx.occupied_buckets(), 0u);
   idx.check_invariants();
+}
+
+TEST(Occupancy, EmptyIndexZeros) {
+  BitAddressIndex idx(JoinAttributeSet({0}), IndexConfig({3}));
+  const auto o = idx.occupancy();
+  EXPECT_EQ(o.occupied, 0u);
+  EXPECT_EQ(o.tuples, 0u);
+  EXPECT_DOUBLE_EQ(o.imbalance, 0.0);
+}
+
+TEST(Occupancy, UniformValuesNearPerfect) {
+  // 16 values whose 4-bit chunks are distinct, ten tuples each: every
+  // bucket of the 4-bit IC holds exactly ten.
+  std::vector<Value> values;
+  std::vector<bool> taken(16, false);
+  for (Value v = 0; values.size() < 16; ++v) {
+    const std::uint64_t chunk = value_bits(0, v, 4);
+    if (taken[chunk]) continue;
+    taken[chunk] = true;
+    values.push_back(v);
+  }
+  BitAddressIndex idx(JoinAttributeSet({0}), IndexConfig({4}));
+  std::vector<Tuple> tuples;
+  for (int rep = 0; rep < 10; ++rep) {
+    for (std::size_t i = 0; i < values.size(); ++i) {
+      tuples.push_back(testutil::make_tuple(
+          {values[i]}, static_cast<std::uint64_t>(rep) * 16 + i));
+    }
+  }
+  for (const Tuple& t : tuples) idx.insert(&t);
+  const auto o = idx.occupancy();
+  EXPECT_EQ(o.occupied, 16u);
+  EXPECT_EQ(o.min, 10u);
+  EXPECT_EQ(o.max, 10u);
+  EXPECT_DOUBLE_EQ(o.imbalance, 1.0);
+  EXPECT_DOUBLE_EQ(o.stddev, 0.0);
+}
+
+TEST(ValueBits, ZeroBitsAlwaysZero) {
+  EXPECT_EQ(value_bits(0, 12345, 0), 0u);
+  EXPECT_EQ(value_bits(1, 55, 0), 0u);
+}
+
+TEST(ValueBits, HashStaysInRange) {
+  Rng rng(4);
+  for (int i = 0; i < 1000; ++i) {
+    const auto v = static_cast<Value>(rng.next());
+    for (int bits = 1; bits <= 12; ++bits) {
+      EXPECT_LT(value_bits(0, v, bits), std::uint64_t{1} << bits);
+    }
+  }
+}
+
+TEST(ValueBits, HashDeterministic) {
+  EXPECT_EQ(value_bits(0, 42, 8), value_bits(0, 42, 8));
+}
+
+TEST(ValueBits, HashSaltedByPosition) {
+  // Same value in different attribute positions should usually differ.
+  int same = 0;
+  for (Value v = 0; v < 100; ++v) {
+    if (value_bits(0, v, 16) == value_bits(1, v, 16)) ++same;
+  }
+  EXPECT_LT(same, 5);
+}
+
+TEST(ValueBits, HashRoughlyUniform) {
+  std::vector<int> cells(16, 0);
+  for (Value v = 0; v < 16000; ++v) {
+    ++cells[value_bits(0, v, 4)];
+  }
+  for (const int c : cells) {
+    EXPECT_NEAR(static_cast<double>(c), 1000.0, 200.0);
+  }
+}
+
+TEST(ValueBits, PinnedValues) {
+  // Bucket ids, and with them every compare and charged cost, follow from
+  // these chunks: a different hash must fail here, not drift silently.
+  struct Case {
+    std::size_t pos;
+    Value v;
+    int bits;
+    std::uint64_t chunk;
+  };
+  const Case cases[] = {
+      {0, 0, 4, 0x9},
+      {0, 0, 63, 0x4e503378d2559775},
+      {0, 42, 12, 0x2d1},
+      {0, -1, 12, 0x25b},
+      {0, std::numeric_limits<Value>::min(), 63, 0x8e05bba2f5c46b0},
+      {0, std::numeric_limits<Value>::max(), 12, 0xc08},
+      {1, 0, 12, 0xd30},
+      {1, 42, 63, 0x3bfdacdb1d3b802},
+      {1, -1, 4, 0x4},
+      {8, 42, 12, 0xee7},
+      {8, -1, 63, 0x27c8fbf42d6ae700},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(value_bits(c.pos, c.v, c.bits), c.chunk)
+        << "pos " << c.pos << " v " << c.v << " bits " << c.bits;
+  }
 }
 
 }  // namespace

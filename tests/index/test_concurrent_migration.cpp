@@ -30,7 +30,7 @@ TEST(ConcurrentMigration, PerStreamMigratorsSharedTelemetry) {
   pools.reserve(kThreads);
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
-        jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
+        jas3(), IndexConfig({6, 0, 0})));
     migrators.push_back(std::make_unique<IndexMigrator>(
         &telemetry, static_cast<StreamId>(s)));
     pools.emplace_back(kTuplesPerIndex, 3, 40, 100 + s);
@@ -79,7 +79,7 @@ TEST(ConcurrentMigration, SharedMigratorSerializesRebuilds) {
   pools.reserve(kThreads);
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
-        jas3(), IndexConfig({4, 4, 0}), BitMapper::hashing(3)));
+        jas3(), IndexConfig({4, 4, 0})));
     pools.emplace_back(kTuplesPerIndex, 3, 25, 200 + s);
     for (const Tuple* t : pools.back().pointers()) {
       indexes[s]->insert(t);
@@ -118,7 +118,7 @@ TEST(ConcurrentMigration, ParallelDetachedMigrations) {
   std::vector<testutil::TuplePool> pools;
   for (std::size_t s = 0; s < kThreads; ++s) {
     indexes.push_back(std::make_unique<BitAddressIndex>(
-        jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3)));
+        jas3(), IndexConfig({6, 0, 0})));
     migrators.push_back(std::make_unique<IndexMigrator>());
     pools.emplace_back(kTuplesPerIndex, 3, 40, 300 + s);
     for (const Tuple* t : pools.back().pointers()) indexes[s]->insert(t);

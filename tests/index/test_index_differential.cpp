@@ -3,7 +3,7 @@
 // std::unordered_map<BucketId, std::vector<const Tuple*>> (the shape of the
 // directory the index used before the open-addressing rewrite). The two are
 // driven through the same seeded mixed sequence of insert / erase / probe /
-// probe_range / reconfigure operations and must agree on every observable:
+// reconfigure operations and must agree on every observable:
 // match sets, match counts, tuples compared, size, and occupied buckets.
 // The reference has no value signatures, so the 1- and 9-attribute cases
 // check that signature filtering never loses a match: their values include
@@ -28,17 +28,15 @@ namespace {
 /// hash map of vectors, swap-with-last erase, filter-everything probes.
 class ReferenceIndex {
  public:
-  ReferenceIndex(JoinAttributeSet jas, IndexConfig config, BitMapper mapper)
-      : jas_(std::move(jas)),
-        config_(std::move(config)),
-        mapper_(std::move(mapper)) {}
+  ReferenceIndex(JoinAttributeSet jas, IndexConfig config)
+      : jas_(std::move(jas)), config_(std::move(config)) {}
 
   BucketId bucket_of(const Tuple& t) const {
     BucketId id = 0;
     for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
       const int bits = config_.bits(pos);
       if (bits == 0) continue;
-      id |= mapper_.map(pos, t.at(jas_.tuple_attr(pos)), bits)
+      id |= value_bits(pos, t.at(jas_.tuple_attr(pos)), bits)
             << config_.shift_of(pos);
     }
     return id;
@@ -72,7 +70,7 @@ class ReferenceIndex {
       if (bits == 0 || !has_bit(key.mask, static_cast<unsigned>(pos))) {
         continue;
       }
-      fixed |= mapper_.map(pos, key.values[pos], bits) << config_.shift_of(pos);
+      fixed |= value_bits(pos, key.values[pos], bits) << config_.shift_of(pos);
       fixed_mask |= low_bits64(bits) << config_.shift_of(pos);
     }
     std::vector<const Tuple*> out;
@@ -90,56 +88,6 @@ class ReferenceIndex {
       if (key.matches(*t, jas_)) {
         out.push_back(t);
         ++stats.matches;
-      }
-    }
-    return stats;
-  }
-
-  ProbeStats probe_range(const RangeProbeKey& key,
-                         std::vector<const Tuple*>& out) const {
-    // Per indexed attribute: the inclusive chunk interval (order-preserving
-    // mappers prune, hash mappers only on degenerate intervals).
-    struct ChunkRange {
-      std::uint64_t lo = 0;
-      std::uint64_t hi = 0;
-      int shift = 0;
-      int bits = 0;
-    };
-    std::vector<ChunkRange> ranges;
-    for (std::size_t pos = 0; pos < config_.num_attrs(); ++pos) {
-      const int bits = config_.bits(pos);
-      if (bits == 0) continue;
-      ChunkRange cr;
-      cr.shift = config_.shift_of(pos);
-      cr.bits = bits;
-      cr.hi = low_bits64(bits);
-      if (key.bound(pos)) {
-        if (mapper_.order_preserving(pos)) {
-          cr.lo = mapper_.map(pos, key.los[pos], bits);
-          cr.hi = mapper_.map(pos, key.his[pos], bits);
-        } else if (key.los[pos] == key.his[pos]) {
-          cr.lo = cr.hi = mapper_.map(pos, key.los[pos], bits);
-        }
-      }
-      ranges.push_back(cr);
-    }
-    ProbeStats stats;
-    for (const auto& [id, bucket] : buckets_) {
-      bool in_range = true;
-      for (const ChunkRange& cr : ranges) {
-        const std::uint64_t chunk = (id >> cr.shift) & low_bits64(cr.bits);
-        if (chunk < cr.lo || chunk > cr.hi) {
-          in_range = false;
-          break;
-        }
-      }
-      if (!in_range) continue;
-      for (const Tuple* t : bucket) {
-        ++stats.tuples_compared;
-        if (key.matches(*t, jas_)) {
-          out.push_back(t);
-          ++stats.matches;
-        }
       }
     }
     return stats;
@@ -172,7 +120,6 @@ class ReferenceIndex {
  private:
   JoinAttributeSet jas_;
   IndexConfig config_;
-  BitMapper mapper_;
   std::unordered_map<BucketId, std::vector<const Tuple*>> buckets_;
   std::size_t size_ = 0;
 };
@@ -229,7 +176,7 @@ std::vector<Value> hostile_values() {
 /// signature chunks of every bound value (as BitAddressIndex lays them
 /// out) but not every value: the entries its filter passes and matches()
 /// must reject.
-void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
+void run_differential(std::size_t width, std::uint64_t seed,
                       std::size_t total_ops,
                       const std::vector<Value>& special = {},
                       std::size_t* collisions = nullptr) {
@@ -242,8 +189,8 @@ void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
   }
   JoinAttributeSet jas(attrs);
   IndexConfig config(bits);
-  BitAddressIndex idx(jas, config, mapper);
-  ReferenceIndex ref(jas, config, mapper);
+  BitAddressIndex idx(jas, config);
+  ReferenceIndex ref(jas, config);
 
   // Without special values this draws what testutil::TuplePool draws.
   const auto draw = [&](Rng& r) {
@@ -288,7 +235,7 @@ void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
       idx.erase(t);
       ref.erase(t);
       free_list.push_back(t);
-    } else if (dice < 85) {
+    } else if (dice < 97) {
       // Point probe with a random access pattern; values come from a live
       // tuple half the time (guaranteed hits) and fresh randomness the rest.
       ProbeKey key;
@@ -326,33 +273,6 @@ void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
           if (chunks_equal && !key.matches(*t, jas)) ++*collisions;
         }
       }
-    } else if (dice < 97) {
-      // Range probe over random inclusive intervals.
-      RangeProbeKey key;
-      const AttrMask mask =
-          static_cast<AttrMask>(rng.below(std::uint64_t{universe} + 1));
-      for (std::size_t pos = 0; pos < width; ++pos) {
-        if (!has_bit(mask, static_cast<unsigned>(pos))) continue;
-        Value lo = static_cast<Value>(
-            rng.below(static_cast<std::uint64_t>(kDomain)));
-        Value hi = rng.chance(0.25)
-                       ? lo  // degenerate interval: hash mappers still prune
-                       : static_cast<Value>(rng.below(
-                             static_cast<std::uint64_t>(kDomain)));
-        if (hi < lo) std::swap(lo, hi);
-        key.bind(pos, lo, hi);
-      }
-      std::vector<const Tuple*> got;
-      std::vector<const Tuple*> want;
-      const ProbeStats got_stats = idx.probe_range(key, got);
-      const ProbeStats want_stats = ref.probe_range(key, want);
-      EXPECT_EQ(got_stats.matches, want_stats.matches) << "op " << op;
-      EXPECT_EQ(got_stats.tuples_compared, want_stats.tuples_compared)
-          << "op " << op;
-      std::sort(got.begin(), got.end());
-      std::sort(want.begin(), want.end());
-      EXPECT_EQ(got, want) << "op " << op;
-      ++probes_run;
     } else {
       const IndexConfig next = random_config(rng, width);
       idx.reconfigure(next);
@@ -376,20 +296,13 @@ void run_differential(BitMapper mapper, std::size_t width, std::uint64_t seed,
 }
 
 TEST(IndexDifferential, MixedOpsHashMapper) {
-  run_differential(BitMapper::hashing(3), /*width=*/3, /*seed=*/42,
-                   /*total_ops=*/12000);
-}
-
-TEST(IndexDifferential, MixedOpsRangeMapper) {
-  run_differential(
-      BitMapper::ranged({{0, 59}, {0, 59}, {0, 59}}), /*width=*/3,
-      /*seed=*/1234, /*total_ops=*/12000);
+  run_differential(/*width=*/3, /*seed=*/42, /*total_ops=*/12000);
 }
 
 TEST(IndexDifferential, OneAttributeSignatureKeepsEveryMatch) {
   // One JAS position: its signature chunk is all 64 mixed bits.
-  run_differential(BitMapper::hashing(1), /*width=*/1, /*seed=*/77,
-                   /*total_ops=*/12000, hostile_values());
+  run_differential(/*width=*/1, /*seed=*/77, /*total_ops=*/12000,
+                   hostile_values());
 }
 
 TEST(IndexDifferential, NineAttributeSignatureKeepsEveryMatch) {
@@ -397,8 +310,8 @@ TEST(IndexDifferential, NineAttributeSignatureKeepsEveryMatch) {
   // kInlineAttrs to the heap.
   ASSERT_GT(9u, kInlineAttrs);
   std::size_t collisions = 0;
-  run_differential(BitMapper::hashing(9), /*width=*/9, /*seed=*/91,
-                   /*total_ops=*/12000, hostile_values(), &collisions);
+  run_differential(/*width=*/9, /*seed=*/91, /*total_ops=*/12000,
+                   hostile_values(), &collisions);
   EXPECT_GT(collisions, 0u) << "no probe met a colliding signature";
 }
 

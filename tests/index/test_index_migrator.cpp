@@ -13,7 +13,7 @@ namespace {
 JoinAttributeSet jas3() { return JoinAttributeSet({0, 1, 2}); }
 
 TEST(IndexMigrator, MovesAllTuples) {
-  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}));
   testutil::TuplePool pool(500, 3, 30, 51);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
 
@@ -27,7 +27,7 @@ TEST(IndexMigrator, MovesAllTuples) {
 }
 
 TEST(IndexMigrator, PreservesTupleMultiset) {
-  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({4, 4, 0}));
   testutil::TuplePool pool(200, 3, 10, 53);
   std::set<const Tuple*> expected;
   for (const Tuple* t : pool.pointers()) {
@@ -43,8 +43,7 @@ TEST(IndexMigrator, PreservesTupleMultiset) {
 
 TEST(IndexMigrator, NoopWhenConfigUnchanged) {
   CostMeter meter;
-  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}), BitMapper::hashing(3),
-                      &meter);
+  BitAddressIndex idx(jas3(), IndexConfig({3, 3, 3}), &meter);
   testutil::TuplePool pool(50, 3, 10, 57);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   meter.reset_counts();
@@ -55,7 +54,7 @@ TEST(IndexMigrator, NoopWhenConfigUnchanged) {
 }
 
 TEST(IndexMigrator, ProbesCorrectAfterMigration) {
-  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}), BitMapper::hashing(3));
+  BitAddressIndex idx(jas3(), IndexConfig({6, 0, 0}));
   testutil::TuplePool pool(300, 3, 12, 59);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
   const IndexMigrator migrator;
@@ -76,8 +75,7 @@ TEST(IndexMigrator, ProbesCorrectAfterMigration) {
 
 TEST(IndexMigrator, EmptyIndexMigratesCheaply) {
   CostMeter meter;
-  BitAddressIndex idx(jas3(), IndexConfig({3, 0, 0}), BitMapper::hashing(3),
-                      &meter);
+  BitAddressIndex idx(jas3(), IndexConfig({3, 0, 0}), &meter);
   const IndexMigrator migrator;
   const auto report = migrator.migrate(idx, IndexConfig({0, 0, 3}));
   EXPECT_EQ(report.tuples_moved, 0u);

@@ -97,7 +97,7 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
   telemetry::Telemetry tel;
   // Dense: every one of the 4096 bucket ids is occupied, so a probe with
   // all 12 bits wildcard (enum_count 4096 <= occupied) enumerates.
-  BitAddressIndex dense(jas, config, BitMapper::hashing(3), &meter);
+  BitAddressIndex dense(jas, config, &meter);
   dense.bind_telemetry(&tel, "dense");
   testutil::TuplePool dense_pool(60000, 3, /*domain=*/1 << 20, /*seed=*/99);
   for (const Tuple* t : dense_pool.pointers()) dense.insert(t);
@@ -105,7 +105,7 @@ TEST(ProbeAlloc, ProbeAllocatesNothingOnAnyStrategy) {
       << "precondition: every bucket occupied, else the wildcard probe "
          "filters instead of enumerating";
   // Sparse: at most 100 occupied buckets, so the same probe filters.
-  BitAddressIndex sparse(jas, config, BitMapper::hashing(3), &meter);
+  BitAddressIndex sparse(jas, config, &meter);
   sparse.bind_telemetry(&tel, "sparse");
   testutil::TuplePool sparse_pool(100, 3, /*domain=*/1 << 20, /*seed=*/7);
   for (const Tuple* t : sparse_pool.pointers()) sparse.insert(t);

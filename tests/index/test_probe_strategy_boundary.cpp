@@ -29,8 +29,7 @@ struct StrategyDelta {
 class BoundaryFixture {
  public:
   BoundaryFixture()
-      : idx_(JoinAttributeSet({0, 1, 2}), IndexConfig({3, 3, 2}),
-             BitMapper::hashing(3), &meter_) {
+      : idx_(JoinAttributeSet({0, 1, 2}), IndexConfig({3, 3, 2}), &meter_) {
     idx_.bind_telemetry(&tel_, "idx");
     enumerated_ = tel_.metrics().find_counter("idx.probe.enumerated");
     filtered_ = tel_.metrics().find_counter("idx.probe.filtered");

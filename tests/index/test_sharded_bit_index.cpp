@@ -33,9 +33,8 @@ void run_differential(std::size_t shards, std::uint64_t seed,
   const Value kDomain = 60;
   JoinAttributeSet jas({0, 1, 2});
   IndexConfig config({3, 2, 2});
-  const BitMapper mapper = BitMapper::hashing(3);
-  BitAddressIndex ref(jas, config, mapper);
-  ShardedBitIndex idx(jas, config, mapper, shards, /*shard_pos=*/1);
+  BitAddressIndex ref(jas, config);
+  ShardedBitIndex idx(jas, config, shards, /*shard_pos=*/1);
   const IndexMigrator migrator;
 
   testutil::TuplePool pool(3000, 3, static_cast<int>(kDomain), seed + 1);
@@ -142,8 +141,7 @@ TEST(ShardedBitIndex, DifferentialSevenShards) {
 
 TEST(ShardedBitIndex, ShardRouteIsStableAcrossMigrations) {
   JoinAttributeSet jas({0, 1});
-  ShardedBitIndex idx(jas, IndexConfig({2, 2}), BitMapper::hashing(2),
-                      /*shards=*/4);
+  ShardedBitIndex idx(jas, IndexConfig({2, 2}), /*shards=*/4);
   testutil::TuplePool pool(500, 2, 40, 9);
   std::vector<std::size_t> homes;
   for (const Tuple* t : pool.pointers()) {
@@ -162,8 +160,7 @@ TEST(ShardedBitIndex, ShardRouteIsStableAcrossMigrations) {
 
 TEST(ShardedBitIndex, BalanceReportsSkew) {
   JoinAttributeSet jas({0, 1});
-  ShardedBitIndex idx(jas, IndexConfig({2, 2}), BitMapper::hashing(2),
-                      /*shards=*/4);
+  ShardedBitIndex idx(jas, IndexConfig({2, 2}), /*shards=*/4);
   // All tuples share one sharding value -> one shard holds everything.
   testutil::TuplePool pool(64, 2, 40, 3);
   std::vector<Tuple> skewed;
@@ -185,8 +182,8 @@ TEST(ShardedBitIndex, BalanceReportsSkew) {
 
 TEST(ShardedBitIndex, TargetShardRequiresShardAttrBound) {
   JoinAttributeSet jas({0, 1, 2});
-  ShardedBitIndex idx(jas, IndexConfig({2, 2, 2}), BitMapper::hashing(3),
-                      /*shards=*/3, /*shard_pos=*/2);
+  ShardedBitIndex idx(jas, IndexConfig({2, 2, 2}), /*shards=*/3,
+                      /*shard_pos=*/2);
   ProbeKey unbound;
   unbound.mask = 0b011;  // positions 0 and 1 only
   unbound.values = {1, 2, 3};

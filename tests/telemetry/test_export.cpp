@@ -86,103 +86,5 @@ TEST(WriteTraceJsonl, HeaderEventsThenMetrics) {
   }
 }
 
-TEST(WriteTraceJsonl, MetricsCanBeSuppressed) {
-  Telemetry telemetry;
-  telemetry.emit(EventKind::kRunStart, 0);
-  telemetry.metrics().counter("c").add();
-  TraceWriteOptions options;
-  options.include_metrics = false;
-  std::ostringstream out;
-  write_trace_jsonl(out, telemetry, options);
-  EXPECT_EQ(lines_of(out.str()).size(), 2u);  // header + event only
-}
-
-TEST(WriteMetricsText, PrometheusShape) {
-  Telemetry telemetry;
-  telemetry.metrics().counter("stem.0.probe.count").add(4);
-  telemetry.metrics().gauge("stem.0.assess.bytes").set(256.0);
-  telemetry.metrics().histogram("lat", {1.0, 2.0}).observe(1.5);
-  std::ostringstream out;
-  write_metrics_text(out, telemetry.metrics());
-  const std::string text = out.str();
-  // Dots sanitised to underscores, amri_ prefix, TYPE comments present.
-  EXPECT_NE(text.find("# TYPE amri_stem_0_probe_count counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("amri_stem_0_probe_count 4"), std::string::npos);
-  EXPECT_NE(text.find("# TYPE amri_stem_0_assess_bytes gauge"),
-            std::string::npos);
-  // Histogram expands to cumulative buckets plus _sum/_count.
-  EXPECT_NE(text.find("amri_lat_bucket{le=\"+Inf\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_count 1"), std::string::npos);
-}
-
-TEST(WriteMetricsText, HelpLinesCarryOriginalDottedName) {
-  Telemetry telemetry;
-  telemetry.metrics().counter("stem.0.probe.count").add();
-  telemetry.metrics().gauge("profile.run.wall_us").set(1.0);
-  telemetry.metrics().histogram("span.latency_us", {1.0}).observe(0.5);
-  std::ostringstream out;
-  write_metrics_text(out, telemetry.metrics());
-  const std::string text = out.str();
-  // Every metric gets a HELP line mapping the sanitised id back to the
-  // registry's dotted name, immediately before its TYPE line.
-  EXPECT_NE(text.find("# HELP amri_stem_0_probe_count stem.0.probe.count\n"
-                      "# TYPE amri_stem_0_probe_count counter"),
-            std::string::npos);
-  EXPECT_NE(text.find("# HELP amri_profile_run_wall_us profile.run.wall_us\n"
-                      "# TYPE amri_profile_run_wall_us gauge"),
-            std::string::npos);
-  EXPECT_NE(text.find("# HELP amri_span_latency_us span.latency_us\n"
-                      "# TYPE amri_span_latency_us histogram"),
-            std::string::npos);
-}
-
-TEST(WriteMetricsText, SanitisesNonAlnumToUnderscore) {
-  Telemetry telemetry;
-  telemetry.metrics().counter("stem.0.ap.<A,B>.hits").add(3);
-  std::ostringstream out;
-  write_metrics_text(out, telemetry.metrics());
-  const std::string text = out.str();
-  EXPECT_NE(text.find("amri_stem_0_ap__A_B__hits 3"), std::string::npos);
-  // The HELP line preserves the original spelling for reverse mapping.
-  EXPECT_NE(text.find("# HELP amri_stem_0_ap__A_B__hits stem.0.ap.<A,B>.hits"),
-            std::string::npos);
-}
-
-TEST(WriteMetricsText, HistogramBucketsAreCumulative) {
-  Telemetry telemetry;
-  auto& h = telemetry.metrics().histogram("lat", {1.0, 2.0, 4.0});
-  // Values chosen exactly representable in binary so the %.17g sum
-  // renders without a trailing digit tail.
-  h.observe(0.5);    // bucket le=1
-  h.observe(1.5);    // bucket le=2
-  h.observe(1.75);   // bucket le=2
-  h.observe(3.0);    // bucket le=4
-  h.observe(100.0);  // overflow
-  std::ostringstream out;
-  write_metrics_text(out, telemetry.metrics());
-  const std::string text = out.str();
-  // Prometheus buckets are cumulative: each le includes all smaller ones,
-  // and +Inf equals the total count.
-  EXPECT_NE(text.find("amri_lat_bucket{le=\"1\"} 1"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_bucket{le=\"2\"} 3"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_bucket{le=\"4\"} 4"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_bucket{le=\"+Inf\"} 5"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_count 5"), std::string::npos);
-  EXPECT_NE(text.find("amri_lat_sum 106.75"), std::string::npos);
-}
-
-TEST(WriteMetricsCsv, OneRowPerScalar) {
-  Telemetry telemetry;
-  telemetry.metrics().counter("c").add(2);
-  telemetry.metrics().histogram("h", {1.0}).observe(0.5);
-  std::ostringstream out;
-  write_metrics_csv(out, telemetry.metrics());
-  const auto lines = lines_of(out.str());
-  ASSERT_GE(lines.size(), 2u);
-  EXPECT_EQ(lines[0], "metric,kind,field,value");
-  EXPECT_NE(out.str().find("c,counter,value,2"), std::string::npos);
-}
-
 }  // namespace
 }  // namespace amri::telemetry

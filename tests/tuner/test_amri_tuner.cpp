@@ -53,8 +53,7 @@ TEST(AmriTuner, RecommendConcentratesBitsOnHotPattern) {
 
 TEST(AmriTuner, MaybeTuneMigratesIndex) {
   index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
-                             index::IndexConfig({6, 0, 0}),
-                             index::BitMapper::hashing(3));
+                             index::IndexConfig({6, 0, 0}));
   testutil::TuplePool pool(100, 3, 50, 77);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
 
@@ -70,8 +69,7 @@ TEST(AmriTuner, MaybeTuneMigratesIndex) {
 
 TEST(AmriTuner, NoMigrationWhenConfigAlreadyOptimal) {
   index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
-                             index::IndexConfig({0, 0, 6}),
-                             index::BitMapper::hashing(3));
+                             index::IndexConfig({0, 0, 6}));
   AmriTuner tuner(0b111, 3, paper_model(), fast_options());
   for (int i = 0; i < 1000; ++i) tuner.observe_request(0b100);
   const auto d = tuner.maybe_tune(idx);
@@ -83,8 +81,7 @@ TEST(AmriTuner, HysteresisBlocksMarginalImprovements) {
   TunerOptions o = fast_options();
   o.min_improvement = 0.99;  // require a 99% cost reduction
   index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
-                             index::IndexConfig({5, 0, 1}),
-                             index::BitMapper::hashing(3));
+                             index::IndexConfig({5, 0, 1}));
   AmriTuner tuner(0b111, 3, paper_model(), o);
   for (int i = 0; i < 1000; ++i) tuner.observe_request(0b001);
   const auto d = tuner.maybe_tune(idx);
@@ -154,8 +151,7 @@ TEST(AmriTuner, TracksStatisticsMemory) {
 
 TEST(AmriTuner, AdaptsAcrossWorkloadShift) {
   index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
-                             index::IndexConfig({6, 0, 0}),
-                             index::BitMapper::hashing(3));
+                             index::IndexConfig({6, 0, 0}));
   AmriTuner tuner(0b111, 3, paper_model(), fast_options());
   // Phase 1: all requests bind A -> stays on A.
   for (int i = 0; i < 1000; ++i) tuner.observe_request(0b001);
@@ -214,11 +210,9 @@ TEST(AmriTunerCells, GridDecidesLikeOneCell) {
       AmriTuner grid(0b111, 3, paper_model(), o, nullptr, nullptr, 0,
                      kQueries, kShards);
       index::BitAddressIndex one_idx(index::JoinAttributeSet({0, 1, 2}),
-                                     index::IndexConfig({2, 2, 2}),
-                                     index::BitMapper::hashing(3));
+                                     index::IndexConfig({2, 2, 2}));
       index::BitAddressIndex grid_idx(index::JoinAttributeSet({0, 1, 2}),
-                                      index::IndexConfig({2, 2, 2}),
-                                      index::BitMapper::hashing(3));
+                                      index::IndexConfig({2, 2, 2}));
       testutil::TuplePool pool(200, 3, 50, 77);
       for (const Tuple* t : pool.pointers()) {
         one_idx.insert(t);

@@ -67,8 +67,7 @@ TEST(TunerDifferential, LegacyRuleRecomputedFromEveryDecision) {
   };
   AmriTuner tuner(0b111, 3, paper_model(), o);
   index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
-                             index::IndexConfig({2, 2, 2}),
-                             index::BitMapper::hashing(3));
+                             index::IndexConfig({2, 2, 2}));
   testutil::TuplePool pool(200, 3, 50, 77);
   for (const Tuple* t : pool.pointers()) idx.insert(t);
 
@@ -116,11 +115,9 @@ TEST(TunerDifferential, NeutralizedGuardrailsMatchLegacyBitForBit) {
   AmriTuner legacy(0b111, 3, paper_model(), legacy_opts);
   AmriTuner guarded(0b111, 3, paper_model(), guarded_opts);
   index::BitAddressIndex legacy_idx(index::JoinAttributeSet({0, 1, 2}),
-                                    index::IndexConfig({2, 2, 2}),
-                                    index::BitMapper::hashing(3));
+                                    index::IndexConfig({2, 2, 2}));
   index::BitAddressIndex guarded_idx(index::JoinAttributeSet({0, 1, 2}),
-                                     index::IndexConfig({2, 2, 2}),
-                                     index::BitMapper::hashing(3));
+                                     index::IndexConfig({2, 2, 2}));
   testutil::TuplePool pool(200, 3, 50, 77);
   for (const Tuple* t : pool.pointers()) {
     legacy_idx.insert(t);
