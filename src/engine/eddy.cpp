@@ -180,20 +180,22 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
 
     // Drop the matches the arrival must not see: batch members past its
     // sequence horizon (wall mode; uncharged, the comparisons were already
-    // charged by the probe), then tuples the target stream's WHERE
-    // selection rejects (charged per compare). The re-check runs whenever
-    // the target stream has a selection. A state shared by several
-    // queries stores any tuple some query accepted, so there it can
-    // reject; a single-query state holds only tuples that already passed
-    // this selection at admission, so there it never rejects anything.
-    const Selection& selection = query_.selection(target);
-    if (visibility != nullptr || !selection.empty()) {
+    // charged by the probe), then, on states shared by several queries,
+    // tuples the target stream's WHERE selection rejects (charged per
+    // compare): a shared state stores any tuple some query accepted. A
+    // state that serves this query alone holds only tuples that already
+    // passed the selection at admission, so there it is not re-checked.
+    const Selection* recheck =
+        states_shared_ && !query_.selection(target).empty()
+            ? &query_.selection(target)
+            : nullptr;
+    if (visibility != nullptr || recheck != nullptr) {
       std::size_t kept = 0;
       for (const Tuple* m : matches) {
         if (visibility != nullptr && !visibility->visible_to(m, order)) {
           continue;
         }
-        if (!selection.empty() && !selection.matches(*m, meter_)) continue;
+        if (recheck != nullptr && !recheck->matches(*m, meter_)) continue;
         matches[kept++] = m;
       }
       matches.resize(kept);

@@ -67,6 +67,12 @@ class EddyRouter {
     position_maps_ = std::move(maps);
   }
 
+  /// Multi-query mode with more than one query: the stems store every
+  /// tuple some query admitted, so route() re-checks this query's WHERE
+  /// selection on their matches. Off by default: a state that serves one
+  /// query holds only tuples its selection already admitted.
+  void set_states_shared(bool shared) { states_shared_ = shared; }
+
   /// Route one arrival that was already inserted into its own STeM as
   /// `stored`, depth first: the policy is consulted for every partial
   /// (subject to decision_reuse) and the routing statistics are updated
@@ -80,11 +86,15 @@ class EddyRouter {
   ///     active span while it routes (sharded states read it for their
   ///     "fanout" events) and none is active afterwards.
   ///   * `visibility`, `order`: wall mode's sequence horizon. Probe matches
-  ///     that are members of the batch at order >= `order` are dropped
-  ///     before the WHERE re-check, so the arrival sees the window state
-  ///     sequential execution would show it although the whole batch was
-  ///     inserted up front. The dropped comparisons were still performed
-  ///     and charged. Null keeps every match.
+  ///     that are members of the batch at order >= `order` are dropped, so
+  ///     the arrival sees the window state sequential execution would show
+  ///     it although the whole batch was inserted up front. The dropped
+  ///     comparisons were still performed and charged. Null keeps every
+  ///     match.
+  /// On shared states (set_states_shared) the remaining matches are
+  /// re-checked against the target stream's WHERE selection, one charged
+  /// compare per evaluated predicate; otherwise admission already enforced
+  /// it and nothing is re-checked or charged.
   std::uint64_t route(const Tuple* stored,
                       std::vector<JoinResult>* sink = nullptr,
                       std::uint32_t done = 0, std::uint64_t span = 0,
@@ -108,6 +118,7 @@ class EddyRouter {
   const QuerySpec& query_;
   std::vector<StemOperator*> stems_;
   std::vector<std::vector<std::uint8_t>> position_maps_;
+  bool states_shared_ = false;  ///< re-check WHERE on matches (multi-query)
   EddyOptions options_;
   std::unique_ptr<RoutingPolicy> policy_;
   CostMeter* meter_;

@@ -60,7 +60,7 @@ class MultiQuerySink final : public RoutingSink {
     std::uint64_t total = 0;
     for (std::size_t j = 0; j < n; ++j) {
       // Matches held for other queries only are rejected by each query's
-      // selection re-verification inside its eddy.
+      // selection re-check inside its eddy (on when queries share states).
       for (std::uint64_t accepts = accepts_[first + j]; accepts != 0;
            accepts &= accepts - 1) {
         const auto qi = static_cast<std::size_t>(std::countr_zero(accepts));
@@ -186,7 +186,10 @@ MultiQueryExecutor::MultiQueryExecutor(std::vector<QuerySpec> queries,
   }
 
   // One eddy per query, probing the shared stems through position maps,
-  // with per-query labeled routing metrics.
+  // with per-query labeled routing metrics. With more than one query a
+  // shared state holds tuples only another query admitted, so each eddy
+  // re-checks its own WHERE on matches; a lone query's states hold only
+  // tuples its selection admitted, exactly as in a single-query run.
   for (std::size_t qi = 0; qi < queries_.size(); ++qi) {
     const QuerySpec& q = queries_[qi];
     EddyOptions eddy_opts = options_.eddy;
@@ -204,6 +207,7 @@ MultiQueryExecutor::MultiQueryExecutor(std::vector<QuerySpec> queries,
       }
     }
     eddy->set_position_maps(std::move(maps));
+    eddy->set_states_shared(queries_.size() > 1);
     eddies_.push_back(std::move(eddy));
   }
 }

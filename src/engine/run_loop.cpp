@@ -147,7 +147,9 @@ void emit_run_start(const Pipeline& p) {
   p.tel->emit(telemetry::EventKind::kRunStart, 0, std::move(w).take());
 }
 
-/// Phase kSample: record the engine state at virtual time `at`.
+/// Phase kSample: record the engine state at virtual time `at` and, with
+/// telemetry attached, refresh each state's gauges (the last sample falls
+/// at run end).
 void sample(Pipeline& p, TimeMicros at) {
   telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kSample);
   Sample s;
@@ -168,6 +170,7 @@ void sample(Pipeline& p, TimeMicros at) {
   }
   if (p.tel != nullptr) {
     for (const auto& stem : p.stems) {
+      stem->refresh_gauges();
       StateSample ss;
       ss.stream = stem->stream();
       ss.stored_tuples = stem->stored_tuples();

@@ -129,6 +129,13 @@ class StemOperator {
   /// Current bit-address config (bit-address backends only).
   const index::IndexConfig* current_config() const;
 
+  /// Refresh the gauges that summarise the whole state rather than one
+  /// operation (the unsharded bit-address index's occupancy imbalance).
+  /// The run loop calls it at each sample while telemetry is attached.
+  void refresh_gauges() {
+    if (bit_index_ != nullptr) bit_index_->refresh_occupancy_gauge();
+  }
+
   std::uint64_t probes_served() const { return probes_; }
   std::uint64_t migrations() const;
 

@@ -184,21 +184,31 @@ ProbeStats BitAddressIndex::probe(const ProbeKey& key,
   ProbeStats stats;
   const ProbeLayout layout = layout_for(key);
 
+  // A one-position JAS keeps all 64 bits of mix64(value), a bijection, so
+  // there a signature match is a value match and the probe ends in bucket
+  // memory; a wider JAS truncates each chunk and verifies on the tuple.
+  const bool exact = sig_width_ == 64;
+
   // The one bucket scan of every strategy. It counts the visit and the
   // modelled comparison of every entry (Eq. 1's C_c per stored tuple),
   // then rejects entries whose signature disagrees with a bound value in
-  // bucket memory and verifies the rest on the tuple. A null bucket is an
-  // enumerated id with nothing stored: a visit alone.
+  // bucket memory and, unless the signature is exact, verifies the rest on
+  // the tuple. A null bucket is an enumerated id with nothing stored: a
+  // visit alone.
   const auto scan = [&](const Bucket* bucket) {
     ++stats.buckets_visited;
     if (bucket == nullptr) return;
     stats.tuples_compared += bucket->size();
     for (const BucketEntry& e : *bucket) {
       if ((e.tag & layout.sig_mask) != layout.sig) continue;
-      if (key.matches(*e.tuple, jas_)) {
-        out.push_back(e.tuple);
-        ++stats.matches;
+      if (exact) {
+        AMRI_ASSERT(key.matches(*e.tuple, jas_),
+                    "a one-position signature matched a different value");
+      } else if (!key.matches(*e.tuple, jas_)) {
+        continue;
       }
+      out.push_back(e.tuple);
+      ++stats.matches;
     }
   };
 
@@ -259,6 +269,12 @@ BitAddressIndex::OccupancyStats BitAddressIndex::occupancy() const {
   return stats;
 }
 
+void BitAddressIndex::refresh_occupancy_gauge() {
+  if (imbalance_gauge_ != nullptr) {
+    imbalance_gauge_->set(occupancy().imbalance);
+  }
+}
+
 std::size_t BitAddressIndex::memory_bytes() const {
   // Capacity-aware: the directory's whole slot array (empty slots are real
   // memory) plus heap-spilled bucket storage. Inline tuple pointers live
@@ -317,9 +333,7 @@ void BitAddressIndex::reconfigure(const IndexConfig& new_config) {
                                     config_.indexed_attr_count()));
   }
   sync_memory();
-  if (imbalance_gauge_ != nullptr) {
-    imbalance_gauge_->set(occupancy().imbalance);
-  }
+  refresh_occupancy_gauge();
   AMRI_CHECK_INVARIANTS(*this);
 }
 

@@ -10,7 +10,8 @@
 // Every stored entry carries a signature of its join-attribute values, so a
 // probe of any access pattern rejects most non-matching entries in bucket
 // memory before it dereferences a tuple (the modelled comparison is charged
-// either way).
+// either way). On a one-position JAS the signature is the whole mix64 of
+// the value, so it decides the match alone and no tuple is dereferenced.
 //
 // Buckets are stored sparsely in a flat open-addressing directory
 // (index/bucket_directory.hpp), so the bucket-id word can be wide while
@@ -110,6 +111,11 @@ class BitAddressIndex final : public TupleIndex {
   };
   OccupancyStats occupancy() const;
 
+  /// Set the `<prefix>.occupancy.imbalance` gauge to occupancy().imbalance
+  /// (a walk of the directory). A no-op when detached. reconfigure() calls
+  /// it; the run loop refreshes it through the STeM at each sample.
+  void refresh_occupancy_gauge();
+
   /// Visit every stored tuple (used by migration and full scans).
   template <typename Fn>
   void for_each_tuple(Fn&& fn) const {
@@ -153,7 +159,8 @@ class BitAddressIndex final : public TupleIndex {
   /// Value signature of JAS position `pos` holding `v`: the top
   /// sig_width_ bits of mix64(v), shifted to the position's chunk at
   /// pos * sig_width_. Equal values give equal chunks, so the signature
-  /// filter never rejects a match.
+  /// filter never rejects a match; at sig_width_ 64 (one position) unequal
+  /// values give unequal chunks too, so it never accepts a non-match.
   std::uint64_t value_chunk(std::size_t pos, Value v) const;
   /// A stored tuple's signature: every JAS position's chunk. Probes of any
   /// access pattern test the chunks of their bound positions against it

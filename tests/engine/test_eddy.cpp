@@ -206,5 +206,38 @@ TEST(EddyRouter, ChargesRoutingDecisions) {
   EXPECT_EQ(meter.routes(), 1u);
 }
 
+// A single-query state stores only tuples that passed its WHERE at
+// admission, so routing an arrival charges the probe's compares and no
+// per-match re-check of the target stream's selection.
+TEST(EddyRouter, SingleQueryRouteChargesOnlyTheProbe) {
+  QuerySpec q = make_complete_join_query(2, seconds_to_micros(10));
+  q.set_selection(0, Selection({{0, CompareOp::kGe, 1},
+                                {0, CompareOp::kNe, 99}}));
+  CostMeter meter;
+  StemOptions so;
+  so.backend = IndexBackend::kStaticBitmap;
+  so.initial_config = index::IndexConfig({4});
+  StemOperator s0(0, q.layout(0), q.window(), so, model(), &meter);
+  StemOperator s1(1, q.layout(1), q.window(), so, model(), &meter);
+  EddyRouter eddy(q, {&s0, &s1}, {}, &meter);
+  TupleSeq seq = 0;
+  for (const Value v : {5, 6, 5, 5}) {
+    s0.insert(testutil::make_tuple({v}, seq, static_cast<TimeMicros>(seq), 0));
+    ++seq;
+  }
+
+  const std::uint64_t before = meter.compares();
+  EXPECT_EQ(eddy.route(s1.insert(testutil::make_tuple({5}, seq, 9, 1))), 3u);
+  const std::uint64_t routed = meter.compares() - before;
+
+  index::ProbeKey key;
+  key.mask = 0b1;
+  key.values.push_back(5);
+  std::vector<const Tuple*> out;
+  const index::ProbeStats probe = s0.probe(key, out);
+  ASSERT_EQ(probe.matches, 3u);
+  EXPECT_EQ(routed, probe.tuples_compared);
+}
+
 }  // namespace
 }  // namespace amri::engine

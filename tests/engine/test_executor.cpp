@@ -228,5 +228,35 @@ TEST(Executor, BackpressureFiresOncePerBurstAndRearms) {
   EXPECT_EQ(events, 2u);
 }
 
+// The run loop refreshes every state's occupancy-imbalance gauge at each
+// sample, the last one at run end, so the gauge is current on states that
+// never migrated (a static index never does after warm-up).
+TEST(Executor, RunEndsWithCurrentOccupancyGauges) {
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(50));
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 400; ++i) {
+    tuples.push_back(mk(static_cast<StreamId>(i % 2), 0.05 * i, {i * 7 % 23}));
+  }
+  ScriptedSource src(std::move(tuples));
+  telemetry::Telemetry telemetry;
+  ExecutorOptions o = base_options();
+  o.stem.backend = IndexBackend::kStaticBitmap;
+  o.stem.initial_config = index::IndexConfig({3});
+  o.telemetry = &telemetry;
+  Executor ex(q, o);
+  ex.run(src);
+  for (const auto& stem : ex.stems()) {
+    const std::string name = "stem." + std::to_string(stem->stream()) +
+                             ".index.occupancy.imbalance";
+    const auto* gauge = telemetry.metrics().find_gauge(name);
+    ASSERT_NE(gauge, nullptr) << name;
+    const auto& idx =
+        dynamic_cast<const index::BitAddressIndex&>(stem->physical_index());
+    EXPECT_EQ(stem->migrations(), 0u) << name;
+    EXPECT_GT(gauge->value(), 0.0) << name;
+    EXPECT_DOUBLE_EQ(gauge->value(), idx.occupancy().imbalance) << name;
+  }
+}
+
 }  // namespace
 }  // namespace amri::engine

@@ -6,6 +6,7 @@
 
 #include "../test_util.hpp"
 #include "engine/executor.hpp"
+#include "engine/multi_query.hpp"
 
 namespace amri::engine {
 namespace {
@@ -111,6 +112,31 @@ TEST(SpjExecutor, SelectionCostCharged) {
   Executor ex(q, o);
   ex.run(src);
   EXPECT_GE(ex.clock().now(), 100);
+}
+
+// Two queries share the states, so a stored tuple may have been admitted
+// for the other query only: each eddy re-checks its own WHERE on matches,
+// rejects such tuples and charges the re-check's compares.
+TEST(SpjExecutor, SharedStatesRecheckSelectionAndChargeIt) {
+  const std::vector<Schema> schemas = {Schema("L", {"x"}), Schema("R", {"u"})};
+  std::vector<QuerySpec> queries;
+  for (int i = 0; i < 2; ++i) {
+    queries.emplace_back(schemas, std::vector<JoinPredicate>{{0, 0, 1, 0}},
+                         seconds_to_micros(50));
+  }
+  // Q0 admits L tuples with x >= 10 only; Q1 admits every tuple.
+  queries[0].set_selection(0, Selection({{0, CompareOp::kGe, 10}}));
+  MultiQueryExecutor ex(queries, scan_options());
+  ScriptedSource src({mk(0, 1, {5}), mk(0, 2, {12}),     // L{5}: Q1 only
+                      mk(1, 3, {5}), mk(1, 4, {12})});
+  const auto r = ex.run(src);
+  EXPECT_EQ(r.per_query_outputs[0], 1u);  // L{5} matched but re-rejected
+  EXPECT_EQ(r.per_query_outputs[1], 2u);
+  // Compares: Q0's admission of both L arrivals (2), the scans of the two
+  // stored L tuples by both queries for both R arrivals (8; the R state is
+  // empty while L arrives), and Q0's re-check of one match per R arrival
+  // (2).
+  EXPECT_EQ(ex.meter().compares(), 12u);
 }
 
 }  // namespace

@@ -4,6 +4,7 @@
 
 #include <algorithm>
 #include <limits>
+#include <unordered_map>
 
 #include "../test_util.hpp"
 
@@ -194,6 +195,52 @@ TEST(BitAddressIndex, InvariantsHoldAcrossMutations) {
   EXPECT_EQ(idx.size(), 0u);
   EXPECT_EQ(idx.occupied_buckets(), 0u);
   idx.check_invariants();
+}
+
+// A one-position JAS signature is the whole mix64 of the value, so a probe
+// there decides matches in bucket memory. A two-position JAS keeps only the
+// top 32 bits per position: two distinct values sharing them reach the
+// tuple verification, which must still tell them apart. Random inputs
+// essentially never meet such a pair, so a birthday search finds one.
+TEST(BitAddressIndex, SignatureExactOnlyForOnePositionJas) {
+  std::unordered_map<std::uint32_t, Value> seen;
+  Value a = 0;
+  Value b = 0;
+  for (Value v = 1; v < (Value{1} << 22); ++v) {
+    const auto top = static_cast<std::uint32_t>(
+        mix64(static_cast<std::uint64_t>(v)) >> 32);
+    const auto [it, fresh] = seen.emplace(top, v);
+    if (!fresh) {
+      a = it->second;
+      b = v;
+      break;
+    }
+  }
+  ASSERT_NE(a, b) << "no 32-bit signature collision found";
+
+  // Both tuples land in the one bucket of a zero-bit IC.
+  BitAddressIndex two(JoinAttributeSet({0, 1}), IndexConfig({0, 0}));
+  const Tuple ta = testutil::make_tuple({a, 7}, 1);
+  const Tuple tb = testutil::make_tuple({b, 7}, 2);
+  two.insert(&ta);
+  two.insert(&tb);
+  for (const AttrMask mask : {AttrMask{0b01}, AttrMask{0b11}}) {
+    std::vector<const Tuple*> out;
+    const auto stats = two.probe(key_for(mask, {a, 7}), out);
+    ASSERT_EQ(out.size(), 1u) << "mask " << mask;
+    EXPECT_EQ(out[0], &ta);
+    EXPECT_EQ(stats.tuples_compared, 2u);
+  }
+
+  // One position: the full signatures differ and the probe needs no tuple.
+  BitAddressIndex one(JoinAttributeSet({0}), IndexConfig({0}));
+  one.insert(&ta);
+  one.insert(&tb);
+  std::vector<const Tuple*> out;
+  const auto stats = one.probe(key_for(0b1, {b}), out);
+  ASSERT_EQ(out.size(), 1u);
+  EXPECT_EQ(out[0], &tb);
+  EXPECT_EQ(stats.tuples_compared, 2u);
 }
 
 TEST(Occupancy, EmptyIndexZeros) {
