@@ -7,6 +7,8 @@
 #include <exception>
 #include <fstream>
 #include <iostream>
+#include <sstream>
+#include <stdexcept>
 #include <string>
 #include <vector>
 
@@ -86,6 +88,16 @@ struct EvalParams {
     p.bucket_cost = cfg.double_or("c_b", p.bucket_cost);
     p.route_cost = cfg.double_or("c_r", p.route_cost);
     p.insert_cost = cfg.double_or("c_i", p.insert_cost);
+    // A non-positive sampling interval would never advance the sample
+    // clock; the executor rejects it too, but only once a bench has
+    // printed its header.
+    if (!(p.sample_seconds > 0.0) ||
+        seconds_to_micros(p.sample_seconds) <= 0) {
+      std::ostringstream value;
+      value << p.sample_seconds;
+      throw std::invalid_argument("bench: sample = " + value.str() +
+                                  " s is not a positive sampling interval");
+    }
     // The cost meter and the optimizer own the limits of these options:
     // check them before a bench builds or prints anything.
     CostMeter(nullptr, p.cost_params());

@@ -104,7 +104,8 @@ void apply_guardrail_flags(const Config& cfg, tuner::TunerOptions& topts) {
   if (!cfg.bool_or("guardrails", false)) return;
   tuner::GuardrailOptions g;
   g.enabled = true;
-  g.benefit_deadband = cfg.double_or("tuner_deadband", g.benefit_deadband);
+  topts.min_improvement =
+      cfg.double_or("tuner_deadband", topts.min_improvement);
   g.min_epochs_between_migrations = cfg.size_or(
       "tuner_hysteresis_epochs", g.min_epochs_between_migrations);
   g.amortize_horizon_units =
@@ -297,13 +298,21 @@ int main(int argc, char** argv) {
   std::vector<std::uint64_t> per_query_outputs;
   std::optional<engine::Executor> executor;
   std::optional<engine::MultiQueryExecutor> mq_executor;
-  if (num_queries > 1) {
-    mq_executor.emplace(scenario->queries(), opts);
+  try {
+    if (num_queries > 1) {
+      mq_executor.emplace(scenario->queries(), opts);
+    } else {
+      executor.emplace(query, opts);
+    }
+  } catch (const std::invalid_argument& e) {
+    std::cerr << e.what() << "\n";  // e.g. sim_seconds too short to sample
+    return 1;
+  }
+  if (mq_executor.has_value()) {
     auto mr = mq_executor->run(*source);
     result = std::move(mr.combined);
     per_query_outputs = std::move(mr.per_query_outputs);
   } else {
-    executor.emplace(query, opts);
     result = executor->run(*source);
   }
 

@@ -2,6 +2,7 @@
 
 #include <cassert>
 #include <chrono>
+#include <string>
 
 #include "telemetry/json.hpp"
 
@@ -9,9 +10,12 @@ namespace amri::engine {
 
 EddyRouter::EddyRouter(const QuerySpec& query, std::vector<StemOperator*> stems,
                        EddyOptions options, CostMeter* meter,
-                       telemetry::Telemetry* telemetry)
+                       telemetry::Telemetry* telemetry, QuerySlot slot)
     : query_(query),
       stems_(std::move(stems)),
+      position_maps_(std::move(slot.position_maps)),
+      query_index_(slot.index),
+      states_shared_(slot.count > 1),
       options_(options),
       policy_(make_routing_policy(options.routing)),
       meter_(meter),
@@ -19,7 +23,14 @@ EddyRouter::EddyRouter(const QuerySpec& query, std::vector<StemOperator*> stems,
   assert(stems_.size() == query_.num_streams());
   if (telemetry_ != nullptr) {
     auto& reg = telemetry_->metrics();
-    const std::string& prefix = options_.metrics_prefix;
+    // Appended piecewise: GCC 12 misreports `"q" + std::string` under
+    // -Wrestrict.
+    std::string prefix = "eddy";
+    if (states_shared_) {
+      prefix = "q";
+      prefix += std::to_string(query_index_);
+      prefix += ".eddy";
+    }
     decisions_counter_ = &reg.counter(prefix + ".decisions");
     results_counter_ = &reg.counter(prefix + ".results");
     truncated_counter_ = &reg.counter(prefix + ".partials_truncated");
@@ -153,7 +164,8 @@ std::uint64_t EddyRouter::route(const Tuple* stored,
     std::vector<const Tuple*>& matches = stems_[target]->probe_scratch();
     std::chrono::steady_clock::time_point hop_t0{};
     if (span != 0) hop_t0 = std::chrono::steady_clock::now();
-    const auto probe_stats = stems_[target]->probe(key_, matches);
+    const auto probe_stats =
+        stems_[target]->probe(key_, matches, query_index_);
     if (span != 0 && telemetry_ != nullptr) {
       const auto probe_ns =
           std::chrono::duration_cast<std::chrono::nanoseconds>(

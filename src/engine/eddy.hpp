@@ -12,7 +12,6 @@
 
 #include <cstdint>
 #include <memory>
-#include <string>
 #include <unordered_map>
 #include <vector>
 
@@ -36,12 +35,21 @@ struct EddyOptions {
   /// arrivals move through the pipeline together is the executor's
   /// `--batch-size`.
   std::size_t decision_reuse = 1;
-  /// Registry prefix for this router's counters ("<prefix>.decisions",
-  /// ".results", ".partials_truncated", ".route_changes"). Multi-query
-  /// executors label each query's eddy ("q0.eddy", "q1.eddy", …) so the
-  /// metrics stay per-query attributable; the single-query default keeps
-  /// the legacy names.
-  std::string metrics_prefix = "eddy";
+};
+
+/// Which of the queries sharing the states an eddy routes for. One query
+/// (the default) keeps the states unshared. With more than one, the states
+/// store every tuple some query admitted, so the eddy re-checks its own
+/// WHERE selection on probe matches, and its counters are labelled
+/// "q<index>.eddy" instead of "eddy". The eddy attributes every probe to
+/// query `index` in the target state's tuner.
+struct QuerySlot {
+  std::size_t index = 0;
+  std::size_t count = 1;
+  /// The states may index a superset of this query's join attributes (the
+  /// union over the queries): `position_maps[s][p]` is the state's JAS
+  /// position of this query's JAS position p on stream s. Empty: identity.
+  std::vector<std::vector<std::uint8_t>> position_maps;
 };
 
 /// A complete join result: one stored tuple per stream.
@@ -57,21 +65,7 @@ class EddyRouter {
   /// done-mask is logged as a routing_change event.
   EddyRouter(const QuerySpec& query, std::vector<StemOperator*> stems,
              EddyOptions options, CostMeter* meter = nullptr,
-             telemetry::Telemetry* telemetry = nullptr);
-
-  /// Multi-query mode: the stems may index a *superset* of this query's
-  /// join attributes (the union over all queries sharing the state).
-  /// `position_maps[s][p]` translates this query's JAS position p of
-  /// stream s into the shared stem's JAS position. Identity when empty.
-  void set_position_maps(std::vector<std::vector<std::uint8_t>> maps) {
-    position_maps_ = std::move(maps);
-  }
-
-  /// Multi-query mode with more than one query: the stems store every
-  /// tuple some query admitted, so route() re-checks this query's WHERE
-  /// selection on their matches. Off by default: a state that serves one
-  /// query holds only tuples its selection already admitted.
-  void set_states_shared(bool shared) { states_shared_ = shared; }
+             telemetry::Telemetry* telemetry = nullptr, QuerySlot slot = {});
 
   /// Route one arrival that was already inserted into its own STeM as
   /// `stored`, depth first: the policy is consulted for every partial
@@ -91,7 +85,7 @@ class EddyRouter {
   ///     it although the whole batch was inserted up front. The dropped
   ///     comparisons were still performed and charged. Null keeps every
   ///     match.
-  /// On shared states (set_states_shared) the remaining matches are
+  /// On shared states (QuerySlot::count > 1) the remaining matches are
   /// re-checked against the target stream's WHERE selection, one charged
   /// compare per evaluated predicate; otherwise admission already enforced
   /// it and nothing is re-checked or charged.
@@ -118,7 +112,8 @@ class EddyRouter {
   const QuerySpec& query_;
   std::vector<StemOperator*> stems_;
   std::vector<std::vector<std::uint8_t>> position_maps_;
-  bool states_shared_ = false;  ///< re-check WHERE on matches (multi-query)
+  std::size_t query_index_;  ///< the query probes are attributed to
+  bool states_shared_;       ///< re-check WHERE on matches
   EddyOptions options_;
   std::unique_ptr<RoutingPolicy> policy_;
   CostMeter* meter_;

@@ -83,6 +83,16 @@ struct RunResult {
   }
 };
 
+/// Result of a MultiQueryExecutor run (one or more queries sharing states).
+struct MultiRunResult {
+  /// Totals across queries. With more than one query every sample also
+  /// carries the per-query output deltas (Sample::per_query_outputs), so
+  /// dashboards can plot each query's throughput curve from one run.
+  RunResult combined;
+  /// Measured-phase outputs by query; {combined.outputs} for one query.
+  std::vector<std::uint64_t> per_query_outputs;
+};
+
 /// Render the per-state summaries as an aligned table. `names[s]`, when
 /// provided, labels stream s (defaults to "S<s>").
 inline TablePrinter make_state_table(

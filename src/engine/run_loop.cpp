@@ -1,11 +1,14 @@
 #include "engine/run_loop.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <chrono>
 #include <deque>
 #include <optional>
 
-#include "engine/executor.hpp"
+#include "common/tuple_batch.hpp"
+#include "engine/eddy.hpp"
+#include "engine/multi_query.hpp"
 #include "engine/stem.hpp"
 #include "engine/tuple_source.hpp"
 #include "telemetry/json.hpp"
@@ -80,14 +83,17 @@ struct PendingSpan {
 /// Everything one run_pipeline call carries from phase to phase.
 struct Pipeline {
   Pipeline(const ExecutorOptions& o, PipelineRuntime& r,
+           const std::vector<QuerySpec>& q,
            const std::vector<std::unique_ptr<StemOperator>>& st,
-           RoutingSink& sk, TupleSource& src)
-      : options(o), rt(r), stems(st), sink(sk), source(src) {}
+           const std::vector<std::unique_ptr<EddyRouter>>& ed,
+           TupleSource& src)
+      : options(o), rt(r), queries(q), stems(st), eddies(ed), source(src) {}
 
   const ExecutorOptions& options;
   PipelineRuntime& rt;
+  const std::vector<QuerySpec>& queries;
   const std::vector<std::unique_ptr<StemOperator>>& stems;
-  RoutingSink& sink;
+  const std::vector<std::unique_ptr<EddyRouter>>& eddies;
   TupleSource& source;
   telemetry::Telemetry* const tel = options.telemetry;
   const TimeMicros warmup_end = options.warmup;
@@ -99,9 +105,9 @@ struct Pipeline {
   /// hands it to the eddy, which makes it the active span while that
   /// arrival routes (the sharded fan-out picks it up via active_span()).
   const std::size_t trace_sample = tel != nullptr ? options.trace_sample : 0;
-  /// Multi-query sinks: samples carry per-query output deltas past the
+  /// More than one query: samples carry per-query output deltas past the
   /// warm-up offsets, the same convention as `outputs`.
-  const bool per_query = sink.wants_per_query();
+  const bool per_query = queries.size() > 1;
 
   RunResult result;
   std::deque<Tuple> pending;  ///< due arrivals not yet drained (backlog)
@@ -111,14 +117,19 @@ struct Pipeline {
   BatchVisibility visibility;        ///< wall mode's sequence horizon
   std::vector<PendingSpan> spans;    ///< sampled arrivals, batch order
   std::size_t span_cursor = 0;       ///< first span not yet routed
+  /// Accept mask per admitted batch slot (bit i: query i accepted it).
+  std::vector<std::uint64_t> accepts;
+  std::vector<JoinResult> results;  ///< reused per-route result arena
   std::uint64_t drained_arrivals = 0;
   bool warmup_done = options.warmup == 0;
   bool backpressure_armed = true;
   std::uint64_t outputs_total = 0;
   std::uint64_t outputs_offset = 0;
+  /// Cumulative outputs by query, and their values at the warm-up boundary.
+  std::vector<std::uint64_t> query_outputs =
+      std::vector<std::uint64_t>(queries.size(), 0);
+  std::vector<std::uint64_t> query_offsets = query_outputs;
   TimeMicros next_sample = options.warmup + options.sample_every;
-  std::vector<std::uint64_t> pq_scratch;
-  std::vector<std::uint64_t> pq_offsets;
 };
 
 template <typename Extra>
@@ -158,14 +169,8 @@ void sample(Pipeline& p, TimeMicros at) {
   s.memory_bytes = p.rt.memory.total();
   s.backlog = p.pending.size();
   if (p.per_query) {
-    p.pq_scratch.clear();
-    p.sink.per_query_outputs(p.pq_scratch);
-    if (p.pq_offsets.size() < p.pq_scratch.size()) {
-      p.pq_offsets.resize(p.pq_scratch.size(), 0);
-    }
-    s.per_query_outputs.resize(p.pq_scratch.size());
-    for (std::size_t q = 0; q < p.pq_scratch.size(); ++q) {
-      s.per_query_outputs[q] = p.pq_scratch[q] - p.pq_offsets[q];
+    for (std::size_t q = 0; q < p.queries.size(); ++q) {
+      s.per_query_outputs.push_back(p.query_outputs[q] - p.query_offsets[q]);
     }
   }
   if (p.tel != nullptr) {
@@ -232,10 +237,7 @@ void check_backpressure(Pipeline& p) {
 void finish_warmup(Pipeline& p) {
   for (const auto& stem : p.stems) stem->finish_warmup();
   p.outputs_offset = p.outputs_total;
-  if (p.per_query) {
-    p.pq_offsets.clear();
-    p.sink.per_query_outputs(p.pq_offsets);
-  }
+  p.query_offsets = p.query_outputs;
   p.warmup_done = true;
   sample(p, p.warmup_end);
 }
@@ -246,10 +248,27 @@ enum class Drained : std::uint8_t {
   kStop,     ///< memory exhausted, source exhausted or run over
 };
 
+/// WHERE admission (the paper's S of SPJ happens before the join network):
+/// evaluate every query's selection on `arrival` in query order, each one
+/// charged, and record the accept mask of the batch slot the arrival will
+/// take. The arrival enters the shared states if any query accepts it.
+bool admit(Pipeline& p, const Tuple& arrival) {
+  std::uint64_t mask = 0;
+  for (std::size_t qi = 0; qi < p.queries.size(); ++qi) {
+    if (p.queries[qi].selection(arrival.stream).matches(arrival,
+                                                        &p.rt.meter)) {
+      mask |= std::uint64_t{1} << qi;
+    }
+  }
+  if (mask == 0) return false;
+  p.accepts.push_back(mask);
+  return true;
+}
+
 /// Phase kDrain: pull every due arrival into the backlog, then pop up to
-/// one batch from it through the sink's WHERE admission. Warm-up drains
-/// batches of one, so the warm-up boundary falls on the same arrival at
-/// every batch size.
+/// one batch from it through WHERE admission. Warm-up drains batches of
+/// one, so the warm-up boundary falls on the same arrival at every batch
+/// size.
 Drained drain(Pipeline& p) {
   telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kDrain);
   while (p.lookahead.has_value() && p.lookahead->ts <= p.rt.clock.now()) {
@@ -273,7 +292,7 @@ Drained drain(Pipeline& p) {
   p.stored.clear();
   p.spans.clear();
   p.span_cursor = 0;
-  p.sink.begin_batch();
+  p.accepts.clear();
   const std::size_t cap =
       p.warmup_done ? std::max<std::size_t>(p.options.batch_size, 1) : 1;
   const std::size_t want = std::min(cap, p.pending.size());
@@ -298,9 +317,8 @@ Drained drain(Pipeline& p) {
                                 static_cast<std::uint64_t>(p.pending.size()));
                       });
     }
-    // WHERE-clause selection: filtered arrivals are neither stored nor
-    // routed (the paper's S of SPJ happens before the join network).
-    const bool admitted = p.sink.admit(arrival, p.rt.meter);
+    // Filtered arrivals are neither stored nor routed.
+    const bool admitted = admit(p, arrival);
     if (!admitted) {
       if (p.warmup_done) ++p.result.arrivals_filtered;
       if (sampled) {
@@ -347,24 +365,51 @@ void insert(Pipeline& p, std::size_t a, std::size_t b) {
   }
 }
 
-/// Phase kRoute: route the inserted batch slots [a, b) through the sink,
-/// then close every sampled arrival's span in the segment.
+/// Hand query `qi`'s results of one routed arrival to on_result and, when
+/// `want_rows`, to the projected rows up to the row cap.
+void deliver(Pipeline& p, std::size_t qi, bool want_rows) {
+  std::vector<SmallVector<Value, kInlineAttrs>>& rows = p.result.rows;
+  for (const JoinResult& jr : p.results) {
+    if (p.options.on_result) p.options.on_result(jr);
+    if (want_rows && rows.size() < p.options.max_collected_rows) {
+      rows.push_back(p.queries[qi].projection().apply(jr.members));
+    }
+  }
+}
+
+/// Phase kRoute: route the inserted batch slots [a, b) one arrival at a
+/// time, in slot order, through the eddy of every query that accepted the
+/// arrival, in query order; then close every sampled arrival's span in the
+/// segment. Results are delivered as each route ends: on_result sees
+/// every result (warm-up included), rows are collected after warm-up.
 void route(Pipeline& p, std::size_t a, std::size_t b) {
   const std::size_t lo = p.span_cursor;
   while (p.span_cursor < p.spans.size() && p.spans[p.span_cursor].index < b) {
     ++p.span_cursor;
   }
-  const bool traced = lo < p.span_cursor;
   // Routing hops are traced for one arrival per segment, its first sampled
   // one. Every sampled arrival still gets its own insert/done stages and
   // latency observation.
+  const std::size_t traced_slot = lo < p.span_cursor ? p.spans[lo].index : b;
+  const bool want_rows = p.options.collect_rows && p.warmup_done &&
+                         p.result.rows.size() < p.options.max_collected_rows;
+  const bool want_sink = want_rows || p.options.on_result != nullptr;
   std::uint64_t produced = 0;
   {
     telemetry::ScopedPhase scope(p.rt.profiler, telemetry::Phase::kRoute);
-    produced = p.sink.route_batch(
-        p.stored.data() + a, p.batch.done.data() + a, a, b - a,
-        traced ? p.spans[lo].index - a : 0, traced ? p.spans[lo].id : 0,
-        p.warmup_done, p.wall ? &p.visibility : nullptr);
+    for (std::size_t j = a; j < b; ++j) {
+      const std::uint64_t span = j == traced_slot ? p.spans[lo].id : 0;
+      for (std::uint64_t mask = p.accepts[j]; mask != 0; mask &= mask - 1) {
+        const auto qi = static_cast<std::size_t>(std::countr_zero(mask));
+        p.results.clear();
+        const std::uint64_t n = p.eddies[qi]->route(
+            p.stored[j], want_sink ? &p.results : nullptr, p.batch.done[j],
+            span, p.wall ? &p.visibility : nullptr, j - a);
+        if (want_sink) deliver(p, qi, want_rows);
+        p.query_outputs[qi] += n;
+        produced += n;
+      }
+    }
   }
   p.outputs_total += produced;
   for (std::size_t k = lo; k < p.span_cursor; ++k) {
@@ -391,7 +436,6 @@ void summarize(Pipeline& p) {
   r.peak_memory = p.rt.memory.peak();
   r.charged_us = p.rt.meter.charged_us();
   r.routing_decisions = p.rt.meter.routes();
-  p.sink.take_rows(r.rows);
   for (const auto& stem : p.stems) {
     StateSummary s;
     s.stream = stem->stream();
@@ -423,11 +467,14 @@ void summarize(Pipeline& p) {
 
 }  // namespace
 
-RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
-                       const std::vector<std::unique_ptr<StemOperator>>& stems,
-                       RoutingSink& sink, TupleSource& source) {
+MultiRunResult run_pipeline(
+    const ExecutorOptions& options, PipelineRuntime& rt,
+    const std::vector<QuerySpec>& queries,
+    const std::vector<std::unique_ptr<StemOperator>>& stems,
+    const std::vector<std::unique_ptr<EddyRouter>>& eddies,
+    TupleSource& source) {
   const auto run_wall_t0 = SteadyClock::now();
-  Pipeline p(options, rt, stems, sink, source);
+  Pipeline p(options, rt, queries, stems, eddies, source);
   emit_run_start(p);
 
   while (rt.clock.now() < p.measure_end) {
@@ -468,7 +515,12 @@ RunResult run_pipeline(const ExecutorOptions& options, PipelineRuntime& rt,
                                SteadyClock::now() - run_wall_t0)
                                .count());
   }
-  return std::move(p.result);
+  MultiRunResult out;
+  out.combined = std::move(p.result);
+  for (std::size_t q = 0; q < queries.size(); ++q) {
+    out.per_query_outputs.push_back(p.query_outputs[q] - p.query_offsets[q]);
+  }
+  return out;
 }
 
 }  // namespace amri::engine

@@ -13,7 +13,8 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
                            TimeMicros window, StemOptions options,
                            index::CostModel model, CostMeter* meter,
                            MemoryTracker* memory,
-                           telemetry::Telemetry* telemetry)
+                           telemetry::Telemetry* telemetry,
+                           std::size_t queries)
     : stream_(stream),
       layout_(layout),
       window_(window),
@@ -25,9 +26,14 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
   switch (options_.backend) {
     case IndexBackend::kAmri:
     case IndexBackend::kStaticBitmap: {
-      index::IndexConfig ic = options_.initial_config.num_attrs() == n
-                                  ? options_.initial_config
-                                  : index::IndexConfig::zero(n);
+      index::IndexConfig ic = options_.initial_config;
+      if (ic.num_attrs() != n) {
+        std::vector<std::uint8_t> bits(n, 0);
+        for (int b = 0; n > 0 && b < ic.total_bits(); ++b) {
+          ++bits[static_cast<std::size_t>(b) % n];
+        }
+        ic = index::IndexConfig(std::move(bits));
+      }
       if (options_.shards > 1) {
         auto idx = std::make_unique<index::ShardedBitIndex>(
             layout_.jas, std::move(ic), options_.shards, 0, meter_, memory_);
@@ -53,7 +59,7 @@ StemOperator::StemOperator(StreamId stream, const StateLayout& layout,
       amri_tuner_ = std::make_unique<tuner::AmriTuner>(
           layout_.jas.universe(), n, model,
           options_.amri_tuner.value_or(tuner::TunerOptions{}), memory_,
-          telemetry_, stream_, options_.queries, shard_count());
+          telemetry_, stream_, queries, shard_count());
       continuous_tuning_ = options_.backend == IndexBackend::kAmri;
       break;
     }
@@ -189,7 +195,8 @@ telemetry::Histogram* StemOperator::pattern_histogram(AttrMask mask) {
 }
 
 index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
-                                      std::vector<const Tuple*>& out) {
+                                      std::vector<const Tuple*>& out,
+                                      std::size_t query) {
   ++probes_;
   const double charged_before =
       (telemetry_ != nullptr && meter_ != nullptr) ? meter_->charged_us() : 0.0;
@@ -218,7 +225,7 @@ index::ProbeStats StemOperator::probe(const index::ProbeKey& key,
       const std::size_t target = sharded_index_->target_shard(key);
       shard = target < shards ? target : fanout_rr_++ % shards;
     }
-    amri_tuner_->observe_request(key.mask, active_query_, shard);
+    amri_tuner_->observe_request(key.mask, query, shard);
     if (continuous_tuning_ && amri_tuner_->tuning_due()) force_tune();
   } else if (module_tuner_ != nullptr) {
     module_tuner_->observe_request(key.mask);

@@ -37,7 +37,9 @@ enum class IndexBackend : std::uint8_t {
 
 struct StemOptions {
   IndexBackend backend = IndexBackend::kAmri;
-  index::IndexConfig initial_config;          ///< bit-address backends
+  /// Bit-address backends. A config of another width than the state's JAS
+  /// keeps its bit budget, spread round-robin over the JAS positions.
+  index::IndexConfig initial_config;
   std::vector<AttrMask> initial_modules;      ///< access-module backends
   std::optional<tuner::TunerOptions> amri_tuner;       ///< kAmri
   std::optional<tuner::HashTunerOptions> module_tuner; ///< kAccessModules
@@ -46,13 +48,6 @@ struct StemOptions {
   /// of JAS position 0. 1 keeps the plain single index; the module/scan
   /// backends ignore sharding.
   std::size_t shards = 1;
-  /// Queries sharing this state (multi-query executors; bit-address
-  /// backends only). The state's tuner keeps one assessor cell per
-  /// (query, shard) — set_active_query() attributes each probe to the
-  /// routing query — and merges them at every decision, so one shared
-  /// tuner scores candidate ICs against the union workload, with per-query
-  /// request shares attached to the decision.
-  std::size_t queries = 1;
 };
 
 class StemOperator {
@@ -61,11 +56,16 @@ class StemOperator {
   /// length; `model` parameterises tuner cost decisions. With `telemetry`
   /// set the STeM records probe histograms (fan-out, per-access-pattern
   /// latency) and threads the handle into its index and tuner; null keeps
-  /// every telemetry path to a pointer check.
+  /// every telemetry path to a pointer check. `queries` is the number of
+  /// queries sharing the state: a bit-address state's tuner keeps one
+  /// assessor cell per (query, shard) and merges them at every decision,
+  /// so one tuner scores candidate ICs against the union workload, with
+  /// per-query request shares attached to the decision.
   StemOperator(StreamId stream, const StateLayout& layout, TimeMicros window,
                StemOptions options, index::CostModel model,
                CostMeter* meter = nullptr, MemoryTracker* memory = nullptr,
-               telemetry::Telemetry* telemetry = nullptr);
+               telemetry::Telemetry* telemetry = nullptr,
+               std::size_t queries = 1);
 
   ~StemOperator();
 
@@ -90,17 +90,12 @@ class StemOperator {
   /// Expire tuples older than `now - window`.
   void expire(TimeMicros now);
 
-  /// Multi-query mode (StemOptions::queries > 1): attribute subsequent
-  /// probes to query `qi`'s assessor cells. The multi-query routing sink sets
-  /// this before each query routes an arrival; single-query stems never
-  /// call it (query 0 is the default attribution).
-  void set_active_query(std::size_t qi) { active_query_ = qi; }
-
-  /// Probe for matches; feeds the access pattern to the tuner (if any) and
-  /// applies a due tuning decision right after the probe. Matches are
-  /// appended to `out`.
+  /// Probe for matches on behalf of query `query`; feeds the access pattern
+  /// to that query's tuner cell (if any) and applies a due tuning decision
+  /// right after the probe. Matches are appended to `out`.
   index::ProbeStats probe(const index::ProbeKey& key,
-                          std::vector<const Tuple*>& out);
+                          std::vector<const Tuple*>& out,
+                          std::size_t query = 0);
 
   /// Reusable probe-output arena: returned cleared, capacity persists
   /// across calls, so steady-state probing through this buffer performs no
@@ -187,8 +182,6 @@ class StemOperator {
   index::AccessModuleSet* module_index_ = nullptr;   ///< non-owning view
   std::unique_ptr<tuner::AmriTuner> amri_tuner_;
   std::unique_ptr<tuner::HashModuleTuner> module_tuner_;
-  /// The query currently routing (multi-query mode; see set_active_query).
-  std::size_t active_query_ = 0;
   /// Scratch for expire()'s batched erase (pointer run into window_store_);
   /// a member so steady-state expiry never reallocates.
   std::vector<const Tuple*> expiry_scratch_;

@@ -29,7 +29,7 @@ enum class Phase : std::uint8_t {
   kDrain = 0,      ///< pulling arrivals from the source into the backlog
   kExpiry,         ///< sliding-window expiry sweeps across STeMs
   kInsert,         ///< STeM index inserts (single or batched)
-  kRoute,          ///< eddy routing (a sink's route_batch), probes excluded
+  kRoute,          ///< eddy routing of a segment, probes excluded
   kProbe,          ///< index probe work inside a routing hop
   kSnapshotMerge,  ///< assessor-cell snapshots + merge at a decision
   kTunerEpoch,     ///< tuner decide/optimize (migration excluded)

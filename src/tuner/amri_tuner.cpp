@@ -15,16 +15,6 @@ namespace {
 // With telemetry attached, every decision carries this many of the most
 // frequent assessed patterns and of the cheapest candidate ICs.
 constexpr std::size_t kTelemetryTopK = 5;
-
-// The selector built when TunerOptions carries no explicit guardrails:
-// disabled, dead-band = min_improvement — the legacy migration rule.
-GuardrailOptions effective_guardrails(const TunerOptions& options) {
-  if (options.guardrails.has_value()) return *options.guardrails;
-  GuardrailOptions g;
-  g.enabled = false;
-  g.benefit_deadband = options.min_improvement;
-  return g;
-}
 }  // namespace
 
 AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
@@ -37,7 +27,8 @@ AmriTuner::AmriTuner(AttrMask universe, std::size_t num_attrs,
       options_(std::move(options)),
       shards_(std::max<std::size_t>(shards, 1)),
       query_requests_(std::max<std::size_t>(queries, 1), 0),
-      selector_(effective_guardrails(options_), model_.params().hash_cost),
+      selector_(options_.guardrails.value_or(GuardrailOptions{}),
+                options_.min_improvement, model_.params().hash_cost),
       telemetry_(telemetry),
       stream_(stream),
       migrator_(telemetry, stream),

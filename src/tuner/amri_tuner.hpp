@@ -52,13 +52,15 @@ struct TunerOptions {
   assessment::AssessorParams assessor_params{};
   double theta = 0.1;                ///< frequency threshold for results()
   std::uint64_t reassess_every = 2000;  ///< search requests between decisions
-  double min_improvement = 0.02;     ///< migrate only if cost drops by >= 2%
+  /// The selector's dead-band, with or without guardrails: migrate only if
+  /// the modelled cost drops by more than this share (default 2%).
+  double min_improvement = 0.02;
   index::OptimizerOptions optimizer{};
   StatsRetention retention = StatsRetention::kReset;
   double decay_factor = 0.25;        ///< for kDecay
   /// Production guardrails for the selection stage (selector.hpp). Unset
-  /// (the default) builds a disabled selector whose dead-band equals
-  /// `min_improvement` — the legacy migration rule, bit-for-bit.
+  /// (the default) builds a disabled selector: the dead-band alone, the
+  /// legacy migration rule, bit-for-bit.
   std::optional<GuardrailOptions> guardrails;
   /// Called after every applied decision (maybe_tune) with the owning
   /// stream and the full decision, including the guardrail verdict. Fires

@@ -68,8 +68,7 @@ Selection GuardrailSelector::select(const Evaluation& eval,
 
   // Benefit dead-band — identical to the legacy AmriTuner migration rule,
   // applied whether or not the production guardrails are enabled.
-  if (!(eval.best_cost <
-        eval.current_cost * (1.0 - options_.benefit_deadband))) {
+  if (!(eval.best_cost < eval.current_cost * (1.0 - deadband_))) {
     s.verdict = GuardrailVerdict::kBelowDeadband;
     return s;
   }

@@ -5,7 +5,7 @@
 // always-migrate loop lacks:
 //
 //  * benefit dead-band — the hysteresis margin on modelled cost
-//    improvement (the legacy `min_improvement` rule; always on);
+//    improvement (TunerOptions::min_improvement; always on);
 //  * migration hysteresis — a minimum number of decision epochs between
 //    migrations of one state, so adversarial drift whose period matches
 //    the tuning cadence cannot thrash the migrator;
@@ -23,6 +23,8 @@
 // With `enabled == false` (the default) only the dead-band applies and
 // the selector reproduces the legacy AmriTuner migration rule
 // bit-for-bit: `best != current && best_cost < current_cost * (1 - deadband)`.
+// The dead-band is one knob in both modes: the tuner passes its
+// `min_improvement`.
 #pragma once
 
 #include <cstdint>
@@ -57,10 +59,6 @@ struct GuardrailOptions {
   /// Master switch. Off = legacy behaviour: dead-band only, no budgets,
   /// no hysteresis — required for the bit-for-bit differential.
   bool enabled = false;
-  /// Modelled-cost dead-band: migrate only when
-  /// best_cost < current_cost * (1 - benefit_deadband). This is the legacy
-  /// `min_improvement` and applies whether or not guardrails are enabled.
-  double benefit_deadband = 0.02;
   /// Minimum decision epochs between two migrations of one state
   /// (1 = consecutive epochs allowed; the first migration is never
   /// hysteresis-blocked). The default — one migration per 150 decision
@@ -114,11 +112,14 @@ struct Selection {
 
 /// Stateful per-state selector. Call select() exactly once per decision
 /// epoch; the epoch counter, hysteresis clock, and time-budget bucket
-/// advance on every call.
+/// advance on every call. `deadband` is the modelled-cost dead-band,
+/// applied whether or not guardrails are enabled: migrate only when
+/// best_cost < current_cost * (1 - deadband).
 class GuardrailSelector {
  public:
-  GuardrailSelector(GuardrailOptions options, double hash_cost)
-      : options_(options), hash_cost_(hash_cost) {
+  GuardrailSelector(GuardrailOptions options, double deadband,
+                    double hash_cost)
+      : options_(options), deadband_(deadband), hash_cost_(hash_cost) {
     if (options_.enabled &&
         options_.epoch_time_budget_us !=
             std::numeric_limits<double>::infinity()) {
@@ -141,6 +142,7 @@ class GuardrailSelector {
 
  private:
   GuardrailOptions options_;
+  double deadband_;
   double hash_cost_;
   std::uint64_t epoch_ = 0;
   std::uint64_t last_migration_epoch_ = 0;

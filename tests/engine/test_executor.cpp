@@ -2,8 +2,12 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <deque>
+#include <stdexcept>
 #include <string>
+#include <utility>
+#include <vector>
 
 #include "../test_util.hpp"
 
@@ -255,6 +259,94 @@ TEST(Executor, RunEndsWithCurrentOccupancyGauges) {
     EXPECT_EQ(stem->migrations(), 0u) << name;
     EXPECT_GT(gauge->value(), 0.0) << name;
     EXPECT_DOUBLE_EQ(gauge->value(), idx.occupancy().imbalance) << name;
+  }
+}
+
+// A sampling interval that is not positive would never advance the
+// sample clock (the run would append samples until memory runs out): the
+// executors reject it at construction, naming the field.
+TEST(Executor, RejectsNonPositiveSampleInterval) {
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(50));
+  for (const TimeMicros every : {TimeMicros{0}, TimeMicros{-1}}) {
+    ExecutorOptions o = base_options();
+    o.sample_every = every;
+    try {
+      Executor ex(q, o);
+      ADD_FAILURE() << "sample_every " << every << " accepted";
+    } catch (const std::invalid_argument& e) {
+      EXPECT_NE(std::string(e.what()).find("ExecutorOptions::sample_every"),
+                std::string::npos)
+          << e.what();
+    }
+    EXPECT_THROW(MultiQueryExecutor({q, q}, o), std::invalid_argument);
+  }
+}
+
+// A single query is the one-query case of the shared engine: on_result
+// fires as each arrival finishes routing, so in a wall-mode segment of 256
+// arrivals the results of a later arrival see a later virtual clock (its
+// own routing was charged first), and the results of one arrival share
+// one clock value.
+TEST(Executor, ResultsFireAsEachArrivalFinishesRouting) {
+  const QuerySpec q = make_complete_join_query(2, seconds_to_micros(50));
+  std::vector<Tuple> tuples;
+  for (int i = 0; i < 600; ++i) {
+    // One burst, so wall batches fill to 256; seq orders the arrivals.
+    tuples.push_back(testutil::make_tuple({i % 5}, static_cast<TupleSeq>(i),
+                                          seconds_to_micros(1),
+                                          static_cast<StreamId>(i % 2)));
+  }
+  ScriptedSource src(std::move(tuples));
+  ExecutorOptions o = base_options();
+  o.engine = EngineMode::kWall;
+  o.batch_size = 256;
+  o.costs.route_cost_us = 1.0;  // every arrival advances the clock
+  const Executor* ex = nullptr;
+  std::vector<std::pair<TimeMicros, TupleSeq>> seen;  // (clock, arrival)
+  o.on_result = [&](const JoinResult& r) {
+    // The routed arrival is the result's newest member.
+    TupleSeq arrival = 0;
+    for (const Tuple* m : r.members) arrival = std::max(arrival, m->seq);
+    seen.emplace_back(ex->clock().now(), arrival);
+  };
+  Executor executor(q, o);
+  ex = &executor;
+  const RunResult r = executor.run(src);
+  ASSERT_EQ(seen.size(), r.outputs);
+  std::size_t arrival_changes = 0;
+  for (std::size_t i = 1; i < seen.size(); ++i) {
+    if (seen[i].second == seen[i - 1].second) {
+      EXPECT_EQ(seen[i].first, seen[i - 1].first) << i;
+    } else {
+      EXPECT_GT(seen[i].first, seen[i - 1].first) << i;
+      ++arrival_changes;
+    }
+  }
+  EXPECT_GT(arrival_changes, 500u);
+}
+
+// The one-query engine keeps the query's JAS order in every state, even
+// where the query lists a stream's join attributes in descending id
+// order, so an initial IC written in query order keeps its meaning.
+TEST(Executor, StatesKeepTheQueryJasOrder) {
+  std::vector<Schema> schemas = {Schema("R", {"a", "b"}),
+                                 Schema("S", {"a", "b"})};
+  // b before a: stream R's JAS is [1, 0].
+  const QuerySpec q(std::move(schemas),
+                    {JoinPredicate{0, 1, 1, 1}, JoinPredicate{0, 0, 1, 0}},
+                    seconds_to_micros(50));
+  ASSERT_EQ(q.layout(0).jas.attrs(), (std::vector<AttrId>{1, 0}));
+  ExecutorOptions o = base_options();
+  o.stem.backend = IndexBackend::kStaticBitmap;
+  o.stem.initial_config = index::IndexConfig({4, 0});
+  const Executor ex(q, o);
+  for (StreamId s = 0; s < 2; ++s) {
+    const StemOperator& stem = *ex.stems()[s];
+    EXPECT_EQ(stem.layout().jas.attrs(), q.layout(s).jas.attrs()) << s;
+    // All four bits index attribute b, the query's first join attribute.
+    ASSERT_NE(stem.current_config(), nullptr);
+    EXPECT_EQ(stem.current_config()->bits(0), 4) << s;
+    EXPECT_EQ(stem.layout().jas.tuple_attr(0), 1u) << s;
   }
 }
 

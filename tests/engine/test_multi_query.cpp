@@ -6,6 +6,7 @@
 #include <stdexcept>
 
 #include "../test_util.hpp"
+#include "engine/executor.hpp"
 
 namespace amri::engine {
 namespace {

@@ -36,6 +36,7 @@
 #include "../test_util.hpp"
 #include "assessment/snapshot.hpp"
 #include "common/rng.hpp"
+#include "engine/executor.hpp"
 #include "engine/multi_query.hpp"
 #include "telemetry/telemetry.hpp"
 

@@ -34,6 +34,22 @@ Tuple arrival(StreamId s, TimeMicros ts, std::initializer_list<Value> vals) {
   return t;
 }
 
+// One rule for an initial IC whose width differs from the state's JAS:
+// its bit budget is kept and spread round-robin over the JAS positions.
+TEST(StemOperator, InitialConfigOfAnotherWidthKeepsItsBitBudget) {
+  StemOptions o = amri_options();
+  o.backend = IndexBackend::kStaticBitmap;
+  o.initial_config = index::IndexConfig({3, 3});
+  const QuerySpec wide = query4();  // 3 join attributes per state
+  const StemOperator three(0, wide.layout(0), wide.window(), o, model());
+  EXPECT_EQ(three.current_config()->to_string(),
+            index::IndexConfig({2, 2, 2}).to_string());
+  const QuerySpec narrow = make_complete_join_query(2, seconds_to_micros(10));
+  const StemOperator one(0, narrow.layout(0), narrow.window(), o, model());
+  EXPECT_EQ(one.current_config()->to_string(),
+            index::IndexConfig({6}).to_string());
+}
+
 TEST(StemOperator, InsertProbeExpireCycle) {
   const QuerySpec q = query4();
   StemOperator stem(1, q.layout(1), q.window(), amri_options(), model());

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <limits>
 #include <memory>
 #include <vector>
 
@@ -86,6 +87,30 @@ TEST(AmriTuner, HysteresisBlocksMarginalImprovements) {
   for (int i = 0; i < 1000; ++i) tuner.observe_request(0b001);
   const auto d = tuner.maybe_tune(idx);
   EXPECT_FALSE(d.migrated);
+}
+
+// min_improvement is the one dead-band, with guardrails on too: a 50%
+// modelled improvement that every enabled guardrail check would let fire
+// stays below a 99% dead-band.
+TEST(AmriTuner, GuardrailsKeepTheMinImprovementDeadband) {
+  TunerOptions o = fast_options();
+  o.min_improvement = 0.99;
+  GuardrailOptions g;
+  g.enabled = true;
+  g.min_epochs_between_migrations = 1;
+  g.amortize_horizon_units = std::numeric_limits<double>::infinity();
+  g.epoch_time_budget_us = std::numeric_limits<double>::infinity();
+  o.guardrails = g;
+  index::BitAddressIndex idx(index::JoinAttributeSet({0, 1, 2}),
+                             index::IndexConfig({5, 0, 1}));
+  AmriTuner tuner(0b111, 3, paper_model(), o);
+  for (int i = 0; i < 1000; ++i) tuner.observe_request(0b001);
+  const auto d = tuner.maybe_tune(idx);
+  ASSERT_TRUE(d.due);
+  EXPECT_NEAR(d.recommended_cost / d.current_cost, 0.5, 0.1);
+  EXPECT_EQ(d.verdict, GuardrailVerdict::kBelowDeadband);
+  EXPECT_FALSE(d.migrated);
+  EXPECT_EQ(idx.config(), index::IndexConfig({5, 0, 1}));
 }
 
 TEST(AmriTuner, RetentionKeepAccumulates) {

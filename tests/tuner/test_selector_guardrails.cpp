@@ -36,10 +36,10 @@ index::IndexConfig random_ic(Rng& rng, std::size_t num_attrs, int budget) {
   return index::IndexConfig(bits);
 }
 
-GuardrailOptions random_guardrails(Rng& rng) {
+GuardrailOptions random_guardrails(Rng& rng, double& deadband) {
   GuardrailOptions g;
   g.enabled = rng.below(4) != 0;  // mostly on; some pure-legacy sequences
-  g.benefit_deadband = 0.3 * rng.uniform01();
+  deadband = 0.3 * rng.uniform01();
   g.min_epochs_between_migrations = 1 + rng.below(8);
   g.amortize_horizon_units = rng.below(2) != 0 ? 1e9 : 50.0 * rng.uniform01();
   g.epoch_time_budget_us = rng.below(2) != 0 ? kInf : 200.0 * rng.uniform01();
@@ -78,8 +78,9 @@ TEST(SelectorGuardrailsProperty, InvariantsHoldOverRandomizedSequences) {
   std::uint64_t fired_total = 0;
   std::uint64_t suppressed_total = 0;
   for (int seq = 0; seq < kSequences; ++seq) {
-    const GuardrailOptions g = random_guardrails(rng);
-    GuardrailSelector selector(g, kHashCost);
+    double deadband = 0.0;
+    const GuardrailOptions g = random_guardrails(rng, deadband);
+    GuardrailSelector selector(g, deadband, kHashCost);
     std::uint64_t last_fire_epoch = 0;
     bool fired_once = false;
     std::uint64_t suppressed_before = 0;
@@ -103,7 +104,7 @@ TEST(SelectorGuardrailsProperty, InvariantsHoldOverRandomizedSequences) {
         ASSERT_FALSE(eval.best == current);
         // Never migrates below the dead-band.
         ASSERT_LT(eval.best_cost,
-                  eval.current_cost * (1.0 - g.benefit_deadband));
+                  eval.current_cost * (1.0 - deadband));
         if (g.enabled) {
           // Never two migrations within the hysteresis window.
           if (fired_once) {
@@ -134,7 +135,7 @@ TEST(SelectorGuardrailsProperty, InvariantsHoldOverRandomizedSequences) {
         // Disabled selector == the legacy migration rule, exactly.
         const bool legacy_migrates =
             !(eval.best == current) &&
-            eval.best_cost < eval.current_cost * (1.0 - g.benefit_deadband);
+            eval.best_cost < eval.current_cost * (1.0 - deadband);
         ASSERT_EQ(s.migrate, legacy_migrates);
       }
 
@@ -152,11 +153,10 @@ TEST(SelectorGuardrailsProperty, InvariantsHoldOverRandomizedSequences) {
 TEST(SelectorGuardrails, HysteresisSpacingIsExact) {
   GuardrailOptions g;
   g.enabled = true;
-  g.benefit_deadband = 0.02;
   g.min_epochs_between_migrations = 4;
   g.amortize_horizon_units = kInf;
   g.epoch_time_budget_us = kInf;
-  GuardrailSelector selector(g, 1.0);
+  GuardrailSelector selector(g, 0.02, 1.0);
 
   // Every epoch proposes the same large improvement away from `current`.
   Evaluation eval;
@@ -182,12 +182,11 @@ TEST(SelectorGuardrails, HysteresisSpacingIsExact) {
 TEST(SelectorGuardrails, TimeBudgetRefillsAtTheConfiguredRate) {
   GuardrailOptions g;
   g.enabled = true;
-  g.benefit_deadband = 0.02;
   g.min_epochs_between_migrations = 1;
   g.amortize_horizon_units = kInf;
   g.epoch_time_budget_us = 10.0;
   g.burst_epochs = 10.0;  // bucket starts (and caps) at 100 µs
-  GuardrailSelector selector(g, 1.0);
+  GuardrailSelector selector(g, 0.02, 1.0);
 
   Evaluation eval;
   eval.best = index::IndexConfig({0, 8, 0});
@@ -212,12 +211,11 @@ TEST(SelectorGuardrails, TimeBudgetRefillsAtTheConfiguredRate) {
 TEST(SelectorGuardrails, MemoryBudgetBlocksDirectoryGrowth) {
   GuardrailOptions g;
   g.enabled = true;
-  g.benefit_deadband = 0.02;
   g.min_epochs_between_migrations = 1;
   g.amortize_horizon_units = kInf;
   g.epoch_time_budget_us = kInf;
   g.state_memory_budget_bytes = 20000;
-  GuardrailSelector selector(g, 1.0);
+  GuardrailSelector selector(g, 0.02, 1.0);
 
   Evaluation eval;
   eval.best = index::IndexConfig({0, 8, 0});  // 256 buckets -> 16 KiB dir

@@ -5,10 +5,10 @@
 //     migration rule recomputed from the decision's own numbers
 //     (`recommended != previous && recommended_cost <
 //     current_cost * (1 - min_improvement)`);
-//   * a tuner with guardrails *enabled but neutralized* (dead-band =
-//     min_improvement, hysteresis = 1, horizon / budgets = infinity) must
-//     reproduce the guardrails-off tuner bit-for-bit: same decisions, same
-//     migrations, same final index configuration;
+//   * a tuner with guardrails *enabled but neutralized* (the same
+//     min_improvement dead-band, hysteresis = 1, horizon / budgets =
+//     infinity) must reproduce the guardrails-off tuner bit-for-bit: same
+//     decisions, same migrations, same final index configuration;
 //   * the same equivalence end-to-end through the executor on an
 //     adversarial scenario (identical outputs, migrations, and final ICs).
 #include <gtest/gtest.h>
@@ -48,10 +48,9 @@ TunerOptions fast_options() {
 
 /// Guardrails switched on but with every production check neutralized:
 /// must be behaviourally identical to guardrails-off.
-GuardrailOptions neutralized(const TunerOptions& base) {
+GuardrailOptions neutralized() {
   GuardrailOptions g;
   g.enabled = true;
-  g.benefit_deadband = base.min_improvement;
   g.min_epochs_between_migrations = 1;
   g.amortize_horizon_units = std::numeric_limits<double>::infinity();
   g.epoch_time_budget_us = std::numeric_limits<double>::infinity();
@@ -99,7 +98,7 @@ TEST(TunerDifferential, LegacyRuleRecomputedFromEveryDecision) {
 TEST(TunerDifferential, NeutralizedGuardrailsMatchLegacyBitForBit) {
   TunerOptions legacy_opts = fast_options();
   TunerOptions guarded_opts = fast_options();
-  guarded_opts.guardrails = neutralized(guarded_opts);
+  guarded_opts.guardrails = neutralized();
 
   std::vector<TuneDecision> legacy_decisions;
   std::vector<TuneDecision> guarded_decisions;
@@ -197,8 +196,7 @@ E2eObserved run_scenario_e2e(const std::string& name,
 TEST(TunerDifferential, NeutralizedGuardrailsMatchLegacyEndToEnd) {
   for (const std::string name : {"rotating_hot_set", "correlated_join"}) {
     const E2eObserved legacy = run_scenario_e2e(name, std::nullopt);
-    const E2eObserved guarded = run_scenario_e2e(
-        name, neutralized(TunerOptions{}));
+    const E2eObserved guarded = run_scenario_e2e(name, neutralized());
     EXPECT_EQ(legacy.outputs, guarded.outputs) << name;
     EXPECT_EQ(legacy.migrations, guarded.migrations) << name;
     EXPECT_EQ(legacy.final_ics, guarded.final_ics) << name;

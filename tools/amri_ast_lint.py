@@ -70,8 +70,8 @@ METERED_CLASSES = {"StemOperator", "TupleIndex"}
 NO_CHARGE_CLASSES = {"BucketDirectory"}
 # Public entry points checked for cost parity (when they have a body).
 ENTRY_METHODS = {
-    "insert", "erase", "probe", "probe_batch", "probe_range",
-    "insert_batch", "expire", "bulk_load", "reconfigure",
+    "insert", "erase", "probe", "insert_batch", "expire", "bulk_load",
+    "reconfigure",
 }
 METER_PARAM_TOKENS = {"meter", "meter_"}
 

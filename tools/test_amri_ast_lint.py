@@ -141,13 +141,13 @@ class CostParityTest(unittest.TestCase):
 
     def test_virtual_delegate_to_declared_only_entry(self):
         # A default batch loop on an interface: the loop body calls a
-        # pure-virtual probe(), which charges in the implementation.
+        # pure-virtual insert(), which charges in the implementation.
         findings, _, _ = run(
             "class TupleIndex {\n"
             " public:\n"
-            "  virtual void probe(int k) = 0;\n"
-            "  virtual void probe_batch(const std::vector<int>& ks) {\n"
-            "    for (int k : ks) probe(k);\n"
+            "  virtual void insert(int k) = 0;\n"
+            "  virtual void insert_batch(const std::vector<int>& ks) {\n"
+            "    for (int k : ks) insert(k);\n"
             "  }\n"
             "};\n", checks=self.CHECKS)
         self.assertEqual(rules_of(findings), [])
